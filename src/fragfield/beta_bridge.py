@@ -9,7 +9,10 @@ Reliability-weighted soft exceedance observations (y, w) then update the
 surrogate in closed form (alpha' = alpha + sum w*y, gamma' = gamma +
 sum w*(1-y)), and the posterior moments are mapped back to a PN marginal.
 Chaining the cycle over batches is algebraically identical to accumulating
-(alpha, gamma) once, which is what the experiment runner exploits.
+(alpha, gamma) once.  Neither the experiment runner nor ``fragfield update``
+relies on that: the runner gives each cell its single observation in one
+cycle, and ``update`` folds all of one call's observations of a cell into
+one cycle.
 
 kl_pn_beta quantifies the information loss of the surrogate swap by direct
 quadrature of the densities on (0,1).  The exact divergence is small only

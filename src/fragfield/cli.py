@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .beta_bridge import WeightedObservation, local_update_cycle
-from .errors import ConfigError, FragfieldError, InvalidInputError, NumericalFailureError
+from .errors import ConfigError, InvalidInputError, NumericalFailureError
 from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
 from .field_state import STATES
 from .gp_field import (
@@ -35,7 +35,6 @@ from .hazard import FragilityTable, TornadoTrack, build_prior_field
 from .io import (
     RunManifest,
     check_keys,
-    fmt17,
     load_config,
     read_field_csv,
     read_inventory_csv,
@@ -44,9 +43,11 @@ from .io import (
     sha256_file,
     write_field_csv,
     write_field_geojson,
+    write_gp_field_csv,
     write_manifest,
     write_metrics_csv,
     write_trajectory_csv,
+    write_update_trajectory_csv,
 )
 from .probit_normal import PnMarginal
 
@@ -220,10 +221,11 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         fs.gp_mean_p = mean_p.reshape(fs.mu.shape)
         fs.gp_var_p = var_p.reshape(fs.mu.shape)
         gp_csv = os.path.join(out_dir, "gp_field.csv")
-        _write_gp_csv(gp_csv, fs)
+        write_gp_field_csv(gp_csv, fs)
         outputs.append(gp_csv)
         traj_csv = os.path.join(out_dir, "trajectory.csv")
-        _write_update_trajectory(traj_csv, params, log_marginal_likelihood(pts, params))
+        lml = log_marginal_likelihood(pts, params)
+        write_update_trajectory_csv(traj_csv, params, lml)
         outputs.append(traj_csv)
 
     field_csv = os.path.join(out_dir, "field.csv")
@@ -235,49 +237,6 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         manifest.add_file(path, out_dir)
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     return 0
-
-
-def _write_gp_csv(path, fs) -> None:
-    """GP posterior probability summaries per cell (reporting layer)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["building_id", "state", "m", "var_p"])
-        for i, bid in enumerate(fs.ids):
-            for j, state in enumerate(fs.states):
-                writer.writerow(
-                    [bid, state, fmt17(fs.gp_mean_p[i, j]), fmt17(fs.gp_var_p[i, j])]
-                )
-
-
-def _write_update_trajectory(path, params, lml) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "sigma2_global",
-                "ell1",
-                "ell2",
-                "rho_a",
-                "alpha_local",
-                "tau",
-                "log_marginal_likelihood",
-            ]
-        )
-        writer.writerow(
-            [
-                fmt17(params.sigma2_global),
-                fmt17(params.ell1),
-                fmt17(params.ell2),
-                fmt17(params.rho_a),
-                fmt17(params.alpha_local),
-                fmt17(params.tau),
-                fmt17(lml),
-            ]
-        )
 
 
 # ---------------------------------------------------------------- experiment
@@ -328,7 +287,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         if not isinstance(obs, dict):
             raise ConfigError("observer must be an object")
         check_keys(obs, _OBSERVER_KEYS, path="observer")
-        kwargs["observer"] = ObserverModel(**obs)
+        try:
+            kwargs["observer"] = ObserverModel(**obs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"observer: {exc}") from exc
     if "gp_budgets" in doc:
         budgets = doc["gp_budgets"]
         if not isinstance(budgets, dict):
@@ -338,11 +300,17 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             kwargs[f"gp_{key}"] = value
     for key in ("prior_widths", "strategies", "modes"):
         if key in doc:
-            kwargs[key] = tuple(doc[key])
+            try:
+                kwargs[key] = tuple(doc[key])
+            except TypeError as exc:
+                raise ConfigError(f"{key} must be a list: {exc}") from exc
     for key in ("n_buildings", "n_batches", "holdout_fraction", "seed"):
         if key in doc:
             kwargs[key] = doc[key]
-    return ScenarioConfig(**kwargs)
+    try:
+        return ScenarioConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment config: {exc}") from exc
 
 
 def cmd_experiment(config_path, out_dir, seed, dry_run) -> int:

@@ -25,6 +25,7 @@ prior widths and modes so that runs differ only where they should.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -122,6 +123,21 @@ class ScenarioConfig:
     gp_warm_tol: float = 1e-4
 
     def __post_init__(self):
+        for name, kind in (
+            ("n_buildings", numbers.Integral),
+            ("n_batches", numbers.Integral),
+            ("seed", numbers.Integral),
+            ("holdout_fraction", numbers.Real),
+            ("gp_cold_restarts", numbers.Integral),
+            ("gp_cold_max_iter", numbers.Integral),
+            ("gp_warm_max_iter", numbers.Integral),
+            ("gp_warm_xatol", numbers.Real),
+            ("gp_warm_tol", numbers.Real),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a number"
+                raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
         if not 0 < self.holdout_fraction < 1:
             raise InvalidInputError("holdout_fraction must be in (0, 1)")
         if self.n_batches < 1:
@@ -134,6 +150,16 @@ class ScenarioConfig:
         bad = set(self.modes) - {"local-only", "gp-enabled"}
         if bad:
             raise InvalidInputError(f"unknown modes {sorted(bad)}")
+        if self.n_batches > self.n_buildings - self.n_holdout:
+            raise InvalidInputError("more batches than observed buildings")
+        for width in self.prior_widths:
+            # the runner builds one prior track per width exactly like this
+            replace(self.true_track, width_total=float(width))
+
+    @property
+    def n_holdout(self) -> int:
+        """Buildings held out of the batches and assimilated last (at least 1)."""
+        return max(1, int(round(self.holdout_fraction * self.n_buildings)))
 
 
 @dataclass(frozen=True)
@@ -229,8 +255,8 @@ def generate_truth(inventory, track: TornadoTrack, rng, table=None) -> np.ndarra
     return classes
 
 
-def _soft_matrix(true_classes: np.ndarray, observer: ObserverModel, rng) -> np.ndarray:
-    """(n, 4) soft class probabilities per building."""
+def simulate_observer(true_classes: np.ndarray, observer: ObserverModel, rng) -> np.ndarray:
+    """Soft predictions for every building (row-stochastic (n, 4) matrix)."""
     n = len(true_classes)
     reported = true_classes.copy()
     if observer.class_error > 0:
@@ -247,11 +273,6 @@ def _soft_matrix(true_classes: np.ndarray, observer: ObserverModel, rng) -> np.n
         target[reported[k]] += 1.0 - observer.spread
         soft[k] = rng.dirichlet(observer.concentration * target)
     return soft
-
-
-def simulate_observer(true_classes: np.ndarray, observer: ObserverModel, rng):
-    """Soft predictions for every building (row-stochastic (n,4) matrix)."""
-    return _soft_matrix(true_classes, observer, rng)
 
 
 def soft_exceedance(soft: np.ndarray) -> np.ndarray:
@@ -280,7 +301,7 @@ def calibrate_observer(inventory, true_classes, observer: ObserverModel, rng):
     n = len(inventory)
     size = min(observer.calibration_size, n)
     idx = rng.choice(n, size=size, replace=False)
-    soft_cal = _soft_matrix(true_classes[idx], observer, rng)
+    soft_cal = simulate_observer(true_classes[idx], observer, rng)
     hard = hard_exceedance(true_classes[idx])
     samples = [
         EvaluationSample(
@@ -385,7 +406,7 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
     )
 
     n = len(inventory)
-    n_holdout = max(1, int(round(config.holdout_fraction * n)))
+    n_holdout = config.n_holdout
     order = streams["split"].permutation(n)
     holdout_rows = np.sort(order[:n_holdout])
     observed_rows = np.sort(order[n_holdout:])

@@ -47,6 +47,9 @@ class FieldState:
         ):
             if arr.shape != shape:
                 raise InvalidInputError(f"{name} has shape {arr.shape}, expected {shape}")
+        for name in ("x", "y", "mu", "sigma2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInputError(f"{name} must be finite")
         if np.any(self.sigma2 < 0):
             raise InvalidInputError("sigma2 must be >= 0")
 

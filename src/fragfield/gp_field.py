@@ -13,15 +13,27 @@ and never couples distinct states; the local term ties the states of one
 building together through their current latent values.  Posterior summaries
 map back to probability space through the probit-normal moment formulas.
 
+One routine, ``_kernel``, assembles K(a, b) for any two point sets: the
+self kernel of ``kernel_matrix`` and the inducing-point cross block of the
+sparse path alike.  Its hyperparameter-free geometry is built once per pair
+of sets (and cached per ``FieldPoints`` for the self kernel): the global
+term is evaluated once per pair of *sites*, the distinct (x, y, archetype)
+rows, and gathered onto the point pairs through one index in which
+cross-state pairs read a trailing zero; the local term is added at the
+same-building pairs only.
+
 Hyperparameters are fit by maximizing the log marginal likelihood with a
-derivative-free simplex search in a log/logit-transformed space; a collapsed
-variational inducing-point path covers large point sets.
+derivative-free simplex search in a log/logit-transformed space.  A collapsed
+variational inducing-point posterior (``sparse_variational_posterior``) is
+available as a library function only: no CLI command reaches it, and it has
+no hyperparameter fit of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -32,7 +44,6 @@ from .errors import InvalidInputError, NumericalFailureError
 from .probit_normal import pn_moments_vec
 
 __all__ = [
-    "FieldPoint",
     "FieldPoints",
     "CompositeKernelParams",
     "GpPosterior",
@@ -43,7 +54,6 @@ __all__ = [
     "sparse_variational_posterior",
     "posterior_to_probability",
     "ordinality_violation_count",
-    "isotonic_decreasing",
     "EXACT_SOLVE_CAP",
     "STATE_TIEBREAK",
 ]
@@ -54,39 +64,12 @@ _JITTER_START = 1e-10
 _JITTER_CAP = 1e-4
 
 
-@dataclass(frozen=True)
-class FieldPoint:
-    """One (building, damage state) pseudo-observation."""
-
-    i: int
-    j: int
-    x: float
-    y: float
-    archetype: int
-    z: float
-    noise_var: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "noise_var"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "j", int(self.j))
-        object.__setattr__(self, "archetype", int(self.archetype))
-        if not all(
-            math.isfinite(v) for v in (self.x, self.y, self.z, self.noise_var)
-        ):
-            raise InvalidInputError("field point has non-finite entries")
-        if self.noise_var <= 0:
-            raise InvalidInputError("noise_var must be > 0")
-
-
 class FieldPoints:
-    """Column-oriented set of field points with cached kernel geometry.
+    """Column-oriented set of (building, damage state) pseudo-observations.
 
-    The cache holds everything that does not depend on kernel
-    hyperparameters (pairwise squared separations per axis, archetype and
-    state masks, the local-term distance matrix), so repeated kernel
-    evaluations during hyperparameter search only pay for exp() calls.
+    The self-kernel geometry (everything that does not depend on kernel
+    hyperparameters) is cached per instance, so repeated kernel evaluations
+    during hyperparameter search only pay for exp() calls.
     """
 
     def __init__(self, i, j, x, y, archetype, z, noise_var):
@@ -113,21 +96,6 @@ class FieldPoints:
         ):
             raise InvalidInputError("field point columns must be finite")
         self._cache = None
-
-    @classmethod
-    def from_list(cls, points):
-        points = list(points)
-        if not points:
-            raise InvalidInputError("empty point set")
-        return cls(
-            i=[p.i for p in points],
-            j=[p.j for p in points],
-            x=[p.x for p in points],
-            y=[p.y for p in points],
-            archetype=[p.archetype for p in points],
-            z=[p.z for p in points],
-            noise_var=[p.noise_var for p in points],
-        )
 
     @classmethod
     def from_field_state(cls, fs, *, standardize: bool = True):
@@ -178,64 +146,9 @@ class FieldPoints:
             noise_var=self.noise_var[idx],
         )
 
-    def _grid_shape(self):
-        """(n_buildings, n_states) when points form a complete building-major
-        grid (every building carries states 0..d-1 in order), else None."""
-        n = len(self.i)
-        uj = np.unique(self.j)
-        d = len(uj)
-        if d == 0 or n % d or not np.array_equal(uj, np.arange(d)):
-            return None
-        b = n // d
-        if not np.array_equal(self.j, np.tile(np.arange(d), b)):
-            return None
-        first = self.i[::d]
-        if len(np.unique(first)) != b:
-            return None
-        if not np.array_equal(self.i, np.repeat(first, d)):
-            return None
-        return b, d
-
-    def _geometry(self):
-        """Hyperparameter-independent kernel structure, cached per instance.
-
-        Grid layouts store building-level (B x B) matrices plus per-building
-        local blocks; scattered layouts fall back to full n x n masks.
-        """
+    def _geometry(self) -> "_Geometry":
         if self._cache is None:
-            grid = self._grid_shape()
-            if grid is not None:
-                b, d = grid
-                x = self.x[::d]
-                y = self.y[::d]
-                arch = self.archetype[::d]
-                dx2 = (x[:, None] - x[None, :]) ** 2
-                dy2 = (y[:, None] - y[None, :]) ** 2
-                arch_diff = arch[:, None] != arch[None, :]
-                z = self.z.reshape(b, d)
-                jj = np.arange(d, dtype=float)
-                local_dist = np.abs(z[:, :, None] - z[:, None, :]) + (
-                    STATE_TIEBREAK * np.abs(jj[:, None] - jj[None, :])
-                )
-                self._cache = ("grid", (b, d), dx2, dy2, arch_diff, local_dist)
-            else:
-                dx2 = (self.x[:, None] - self.x[None, :]) ** 2
-                dy2 = (self.y[:, None] - self.y[None, :]) ** 2
-                arch_diff = self.archetype[:, None] != self.archetype[None, :]
-                same_state = self.j[:, None] == self.j[None, :]
-                same_building = self.i[:, None] == self.i[None, :]
-                local_dist = np.abs(self.z[:, None] - self.z[None, :]) + (
-                    STATE_TIEBREAK * np.abs(self.j[:, None] - self.j[None, :])
-                )
-                self._cache = (
-                    "full",
-                    dx2,
-                    dy2,
-                    arch_diff,
-                    same_state,
-                    same_building,
-                    local_dist,
-                )
+            self._cache = _pair_geometry(self, self)
         return self._cache
 
 
@@ -245,6 +158,42 @@ def _standardize(v: np.ndarray) -> np.ndarray:
     if sd == 0:
         return v - v.mean()
     return (v - v.mean()) / sd
+
+
+class _Geometry(NamedTuple):
+    """Hyperparameter-free structure of K(a, b) over S_a x S_b sites."""
+
+    dx2: np.ndarray  # (S_a, S_b) squared x separations of the sites
+    dy2: np.ndarray  # (S_a, S_b) squared y separations of the sites
+    arch_diff: np.ndarray  # (S_a, S_b) True where the archetypes differ
+    take: np.ndarray  # (n_a, n_b) flat site-pair index; S_a*S_b if j != j*
+    same_building: np.ndarray  # flat (n_a, n_b) indices of the pairs with i == i*
+    local_dist: np.ndarray  # |z - z*| + STATE_TIEBREAK |j - j*| at those pairs
+
+
+def _pair_geometry(a: FieldPoints, b: FieldPoints) -> _Geometry:
+    """Sites are the distinct (x, y, archetype) rows of each set; the global
+    term depends on a point only through its site and its state."""
+    sites_a, site_a = np.unique(
+        np.column_stack([a.x, a.y, a.archetype]), axis=0, return_inverse=True
+    )
+    sites_b, site_b = np.unique(
+        np.column_stack([b.x, b.y, b.archetype]), axis=0, return_inverse=True
+    )
+    n_sites_b = len(sites_b)
+    take = site_a.reshape(-1, 1) * n_sites_b + site_b.reshape(1, -1)
+    take[a.j[:, None] != b.j[None, :]] = len(sites_a) * n_sites_b
+    same_building = np.flatnonzero(a.i[:, None] == b.i[None, :])
+    r, c = np.divmod(same_building, len(b))
+    local_dist = np.abs(a.z[r] - b.z[c]) + STATE_TIEBREAK * np.abs(a.j[r] - b.j[c])
+    return _Geometry(
+        dx2=(sites_a[:, 0, None] - sites_b[None, :, 0]) ** 2,
+        dy2=(sites_a[:, 1, None] - sites_b[None, :, 1]) ** 2,
+        arch_diff=sites_a[:, 2, None] != sites_b[None, :, 2],
+        take=take,
+        same_building=same_building,
+        local_dist=local_dist,
+    )
 
 
 @dataclass(frozen=True)
@@ -298,75 +247,32 @@ class GpPosterior:
         self.var = np.maximum(self.var, 0.0)
 
 
-def _as_points(points) -> FieldPoints:
-    if isinstance(points, FieldPoints):
-        return points
-    return FieldPoints.from_list(points)
-
-
-def _cross_kernel(a: FieldPoints, b: FieldPoints, params: CompositeKernelParams):
-    """K(a, b) without caching; used for inducing-point blocks."""
-    dx2 = (a.x[:, None] - b.x[None, :]) ** 2
-    dy2 = (a.y[:, None] - b.y[None, :]) ** 2
-    k = params.sigma2_global * np.exp(
-        -0.5 * (dx2 / params.ell1**2 + dy2 / params.ell2**2)
+def _kernel(geom: _Geometry, params: CompositeKernelParams) -> np.ndarray:
+    """K(a, b) for the point sets whose geometry is ``geom``."""
+    n_sites_a, n_sites_b = geom.dx2.shape
+    buf = np.zeros(n_sites_a * n_sites_b + 1)  # last entry: cross-state pairs
+    s = buf[:-1].reshape(n_sites_a, n_sites_b)
+    np.exp(-0.5 * (geom.dx2 / params.ell1**2 + geom.dy2 / params.ell2**2), out=s)
+    s *= params.sigma2_global
+    s[geom.arch_diff] *= params.rho_a
+    k = buf.take(geom.take)
+    k.flat[geom.same_building] += (
+        params.alpha_local
+        * params.sigma2_global
+        * np.exp(-geom.local_dist / params.tau)
     )
-    k *= np.where(a.archetype[:, None] == b.archetype[None, :], 1.0, params.rho_a)
-    k *= a.j[:, None] == b.j[None, :]
-    same = a.i[:, None] == b.i[None, :]
-    if same.any():
-        local = np.abs(a.z[:, None] - b.z[None, :]) + STATE_TIEBREAK * np.abs(
-            a.j[:, None] - b.j[None, :]
-        )
-        k += (
-            params.alpha_local
-            * params.sigma2_global
-            * same
-            * np.exp(-local / params.tau)
-        )
+    if not np.all(np.isfinite(k)):
+        raise NumericalFailureError("kernel matrix has non-finite entries")
     return k
 
 
-def kernel_matrix(points, params: CompositeKernelParams) -> np.ndarray:
+def kernel_matrix(points: FieldPoints, params: CompositeKernelParams) -> np.ndarray:
     """Assemble the composite kernel matrix over the point set.
 
     The jitter in ``params`` is *not* added here; solvers add it (plus the
     heteroscedastic noise) to the diagonal themselves.
     """
-    pts = _as_points(points)
-    geom = pts._geometry()
-    if geom[0] == "grid":
-        _, (b, d), dx2, dy2, arch_diff, local_dist = geom
-        s = np.exp(-0.5 * (dx2 / params.ell1**2 + dy2 / params.ell2**2))
-        s *= params.sigma2_global
-        s[arch_diff] *= params.rho_a
-        n = b * d
-        k = np.zeros((n, n))
-        kv = k.reshape(b, d, b, d)
-        for state in range(d):
-            kv[:, state, :, state] = s
-        blocks = (
-            params.alpha_local
-            * params.sigma2_global
-            * np.exp(-local_dist / params.tau)
-        )
-        idx = np.arange(n).reshape(b, d)
-        k[idx[:, :, None], idx[:, None, :]] += blocks
-    else:
-        _, dx2, dy2, arch_diff, same_state, same_building, local_dist = geom
-        k = np.exp(-0.5 * (dx2 / params.ell1**2 + dy2 / params.ell2**2))
-        k = params.sigma2_global * k
-        k[arch_diff] *= params.rho_a
-        k *= same_state
-        k += (
-            params.alpha_local
-            * params.sigma2_global
-            * same_building
-            * np.exp(-local_dist / params.tau)
-        )
-    if not np.all(np.isfinite(k)):
-        raise NumericalFailureError("kernel matrix has non-finite entries")
-    return k
+    return _kernel(points._geometry(), params)
 
 
 def _chol_with_ladder(a: np.ndarray, jitter: float):
@@ -388,18 +294,24 @@ def _chol_with_ladder(a: np.ndarray, jitter: float):
             )
 
 
-def exact_posterior(points, params: CompositeKernelParams, *, full_cov: bool = False):
-    pts = _as_points(points)
-    n = len(pts)
+def _exact_solve(points: FieldPoints, params: CompositeKernelParams):
+    """(K, L, alpha): the kernel, the lower Cholesky factor L of
+    K + diag(noise) and alpha = (K + diag(noise))^-1 z."""
+    n = len(points)
     if n > EXACT_SOLVE_CAP:
         raise InvalidInputError(
             f"{n} points exceeds the exact-solve cap {EXACT_SOLVE_CAP}; "
             "use sparse_variational_posterior"
         )
-    k = kernel_matrix(pts, params)
-    a = k + np.diag(pts.noise_var)
-    low, _ = _chol_with_ladder(a, params.jitter)
-    alpha = cho_solve((low, True), pts.z, check_finite=False)
+    k = kernel_matrix(points, params)
+    low, _ = _chol_with_ladder(k + np.diag(points.noise_var), params.jitter)
+    return k, low, cho_solve((low, True), points.z, check_finite=False)
+
+
+def exact_posterior(
+    points: FieldPoints, params: CompositeKernelParams, *, full_cov: bool = False
+):
+    k, low, alpha = _exact_solve(points, params)
     mean = k @ alpha
     v = solve_triangular(low, k, lower=True, check_finite=False)
     if full_cov:
@@ -411,19 +323,14 @@ def exact_posterior(points, params: CompositeKernelParams, *, full_cov: bool = F
     return GpPosterior(mean=mean, var=var, cov=cov)
 
 
-def log_marginal_likelihood(points, params: CompositeKernelParams) -> float:
-    pts = _as_points(points)
-    n = len(pts)
-    if n > EXACT_SOLVE_CAP:
-        raise InvalidInputError(f"{n} points exceeds the exact-solve cap")
-    k = kernel_matrix(pts, params)
-    a = k + np.diag(pts.noise_var)
-    low, _ = _chol_with_ladder(a, params.jitter)
-    alpha = cho_solve((low, True), pts.z, check_finite=False)
+def log_marginal_likelihood(
+    points: FieldPoints, params: CompositeKernelParams
+) -> float:
+    _, low, alpha = _exact_solve(points, params)
     return float(
-        -0.5 * pts.z @ alpha
+        -0.5 * points.z @ alpha
         - np.sum(np.log(np.diag(low)))
-        - 0.5 * n * math.log(2.0 * math.pi)
+        - 0.5 * len(points) * math.log(2.0 * math.pi)
     )
 
 
@@ -475,7 +382,7 @@ def _from_vector(t: np.ndarray, base: CompositeKernelParams) -> CompositeKernelP
 
 
 def fit_hyperparameters(
-    points,
+    points: FieldPoints,
     init: CompositeKernelParams,
     *,
     restarts: int = 3,
@@ -492,14 +399,13 @@ def fit_hyperparameters(
     Gaussian perturbations of it.  The returned parameters never score below
     ``init``.  Deterministic for a fixed seed.
     """
-    pts = _as_points(points)
-    base_val = log_marginal_likelihood(pts, init)
+    base_val = log_marginal_likelihood(points, init)
     if not math.isfinite(base_val):
         raise InvalidInputError("log marginal likelihood non-finite at init")
 
     def objective(t):
         try:
-            val = -log_marginal_likelihood(pts, _from_vector(t, init))
+            val = -log_marginal_likelihood(points, _from_vector(t, init))
         except (NumericalFailureError, InvalidInputError):
             return 1e12
         return val if math.isfinite(val) else 1e12
@@ -526,7 +432,7 @@ def fit_hyperparameters(
         )
         cand = _from_vector(res.x, init)
         try:
-            val = log_marginal_likelihood(pts, cand)
+            val = log_marginal_likelihood(points, cand)
         except NumericalFailureError:
             continue
         if val > best_val:
@@ -534,16 +440,15 @@ def fit_hyperparameters(
     return best_params
 
 
-def data_informed_init(points) -> CompositeKernelParams:
+def data_informed_init(points: FieldPoints) -> CompositeKernelParams:
     """Starting hyperparameters scaled to the pseudo-observation spread.
 
     sigma2_global tracks the field variance so the zero-mean prior can carry
     a field-wide offset through long-range correlation; lengthscales start at
     half a standardized coordinate unit.
     """
-    pts = _as_points(points)
     return CompositeKernelParams(
-        sigma2_global=max(float(np.var(pts.z)), 0.25),
+        sigma2_global=max(float(np.var(points.z)), 0.25),
         ell1=0.5,
         ell2=0.5,
         rho_a=0.5,
@@ -576,7 +481,7 @@ def _select_inducing(pts: FieldPoints, n_inducing: int, seed: int) -> np.ndarray
 
 
 def sparse_variational_posterior(
-    points,
+    points: FieldPoints,
     params: CompositeKernelParams,
     inducing=None,
     *,
@@ -593,42 +498,41 @@ def sparse_variational_posterior(
     omitted, indices are chosen by seeded k-means over (x, y, archetype,
     state, z) features.
     """
-    pts = _as_points(points)
-    n = len(pts)
+    n = len(points)
     if inducing is None:
         m = n_inducing if n_inducing is not None else min(512, max(1, n // 4))
         m = min(m, n)
-        inducing = _select_inducing(pts, m, seed)
+        inducing = _select_inducing(points, m, seed)
     inducing = np.asarray(inducing, dtype=int)
     if len(inducing) == 0 or len(inducing) > n:
         raise InvalidInputError("inducing set must be a non-empty subset")
-    u = pts.subset(inducing)
+    u = points.subset(inducing)
 
     kuu = kernel_matrix(u, params)
-    kuf = _cross_kernel(u, pts, params)
+    kuf = _kernel(_pair_geometry(u, points), params)
     kff_diag = params.sigma2_global * (1.0 + params.alpha_local) * np.ones(n)
 
     lu, _ = _chol_with_ladder(kuu, max(params.jitter, _JITTER_START))
     b = solve_triangular(lu, kuf, lower=True, check_finite=False)
     qff_diag = np.einsum("ij,ij->j", b, b)
 
-    inv_noise = 1.0 / pts.noise_var
+    inv_noise = 1.0 / points.noise_var
     c = kuf * inv_noise[None, :]
     m_mat = kuu + c @ kuf.T
     lm, _ = _chol_with_ladder(m_mat, max(params.jitter, _JITTER_START))
 
-    cz = c @ pts.z
+    cz = c @ points.z
     mean = kuf.T @ cho_solve((lm, True), cz, check_finite=False)
     t = solve_triangular(lm, kuf, lower=True, check_finite=False)
     var = kff_diag - qff_diag + np.einsum("ij,ij->j", t, t)
 
     # collapsed bound: log N(z | 0, Qff + Sigma) - 0.5 tr(Sigma^-1 (Kff - Qff))
     w = solve_triangular(lm, cz, lower=True, check_finite=False)
-    quad = pts.z @ (pts.z * inv_noise) - w @ w
+    quad = points.z @ (points.z * inv_noise) - w @ w
     logdet = (
         2.0 * np.sum(np.log(np.diag(lm)))
         - 2.0 * np.sum(np.log(np.diag(lu)))
-        + np.sum(np.log(pts.noise_var))
+        + np.sum(np.log(points.noise_var))
     )
     trace_gap = np.sum((kff_diag - qff_diag) * inv_noise)
     elbo = float(
@@ -642,21 +546,16 @@ def posterior_to_probability(post: GpPosterior):
     return pn_moments_vec(post.mean, post.var)
 
 
-def ordinality_violation_count(points, mean_p, tol: float = 1e-12) -> int:
+def ordinality_violation_count(points: FieldPoints, mean_p, tol: float = 1e-12) -> int:
     """Number of buildings whose probability means increase with severity."""
-    pts = _as_points(points)
     mean_p = np.asarray(mean_p, dtype=float)
     count = 0
-    for i in np.unique(pts.i):
-        mask = pts.i == i
-        order = np.argsort(pts.j[mask])
+    for i in np.unique(points.i):
+        mask = points.i == i
+        order = np.argsort(points.j[mask])
         m = mean_p[mask][order]
         if np.any(np.diff(m) > tol):
             count += 1
     return int(count)
 
 
-def isotonic_decreasing(values: np.ndarray) -> np.ndarray:
-    """Decreasing rearrangement per row (optional post-GP ordinal repair)."""
-    v = np.asarray(values, dtype=float)
-    return -np.sort(-v, axis=-1)

@@ -79,8 +79,8 @@ class TornadoTrack:
         object.__setattr__(self, "width_total", float(self.width_total))
         if not pts:
             raise InvalidInputError("centerline must contain at least one point")
-        if self.width_total < 0:
-            raise InvalidInputError("width_total must be >= 0")
+        if not 0 <= self.width_total < math.inf:
+            raise InvalidInputError("width_total must be finite and >= 0")
         if not 0 < self.core_fraction < self.edge_fraction < 1:
             raise InvalidInputError("need 0 < core_fraction < edge_fraction < 1")
         if not self.v_core > self.v_edge > 0:

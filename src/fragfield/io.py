@@ -31,6 +31,8 @@ __all__ = [
     "write_field_geojson",
     "write_metrics_csv",
     "write_trajectory_csv",
+    "write_update_trajectory_csv",
+    "write_gp_field_csv",
     "read_inventory_csv",
     "read_observations_csv",
     "read_weights_csv",
@@ -121,14 +123,17 @@ def read_field_csv(path) -> FieldState:
     for bid, r in rows.items():
         if None in r["mu"] or None in r["sigma2"]:
             raise InvalidInputError(f"{path}: building {bid} missing a state row")
-    return FieldState(
-        ids=order,
-        x=np.array([rows[b]["x"] for b in order]),
-        y=np.array([rows[b]["y"] for b in order]),
-        archetype=np.array([rows[b]["archetype"] for b in order]),
-        mu=np.array([rows[b]["mu"] for b in order]),
-        sigma2=np.array([rows[b]["sigma2"] for b in order]),
-    )
+    try:
+        return FieldState(
+            ids=order,
+            x=np.array([rows[b]["x"] for b in order]),
+            y=np.array([rows[b]["y"] for b in order]),
+            archetype=np.array([rows[b]["archetype"] for b in order]),
+            mu=np.array([rows[b]["mu"] for b in order]),
+            sigma2=np.array([rows[b]["sigma2"] for b in order]),
+        )
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def write_field_geojson(path, fs: FieldState) -> None:
@@ -179,18 +184,11 @@ _METRICS_COLUMNS = (
     "var_p_median",
 )
 
+_KERNEL_COLUMNS = ("sigma2_global", "ell1", "ell2", "rho_a", "alpha_local", "tau")
 _TRAJECTORY_COLUMNS = (
-    "mode",
-    "strategy",
-    "prior_width_m",
-    "step",
-    "sigma2_global",
-    "ell1",
-    "ell2",
-    "rho_a",
-    "alpha_local",
-    "tau",
-    "log_marginal_likelihood",
+    ("mode", "strategy", "prior_width_m", "step")
+    + _KERNEL_COLUMNS
+    + ("log_marginal_likelihood",)
 )
 
 
@@ -215,25 +213,38 @@ def write_metrics_csv(path, records) -> None:
 
 
 def write_trajectory_csv(path, records) -> None:
+    """GP hyperparameters and log marginal likelihood per experiment step."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_TRAJECTORY_COLUMNS)
         for r in records:
             writer.writerow(
-                [
-                    r.mode,
-                    r.strategy,
-                    fmt17(r.prior_width_m),
-                    r.step,
-                    fmt17(r.sigma2_global),
-                    fmt17(r.ell1),
-                    fmt17(r.ell2),
-                    fmt17(r.rho_a),
-                    fmt17(r.alpha_local),
-                    fmt17(r.tau),
-                    fmt17(r.log_marginal_likelihood),
-                ]
+                [r.mode, r.strategy, fmt17(r.prior_width_m), r.step]
+                + [fmt17(getattr(r, c)) for c in _KERNEL_COLUMNS]
+                + [fmt17(r.log_marginal_likelihood)]
             )
+
+
+def write_update_trajectory_csv(path, params, lml) -> None:
+    """The one hyperparameter row of ``fragfield update --mode gp``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_KERNEL_COLUMNS + ("log_marginal_likelihood",))
+        writer.writerow(
+            [fmt17(getattr(params, c)) for c in _KERNEL_COLUMNS] + [fmt17(lml)]
+        )
+
+
+def write_gp_field_csv(path, fs: FieldState) -> None:
+    """GP posterior probability summaries per cell (reporting layer)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["building_id", "state", "m", "var_p"])
+        for i, bid in enumerate(fs.ids):
+            for j, state in enumerate(fs.states):
+                writer.writerow(
+                    [bid, state, fmt17(fs.gp_mean_p[i, j]), fmt17(fs.gp_var_p[i, j])]
+                )
 
 
 def read_inventory_csv(path):

@@ -389,6 +389,22 @@ class TestCmdUpdate:
         assert len(traj) == 1
         assert math.isfinite(float(traj[0]["log_marginal_likelihood"]))
 
+    @pytest.mark.parametrize("column, value", [("mu", "nan"), ("sigma2", "inf")])
+    def test_nonfinite_field_cell_exit_2(self, tmp_path, capsys, column, value):
+        cfg, field_in = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])
+        with open(field_in, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # a cell that no observation touches
+        rows[-1][column] = value
+        with open(field_in, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "out"
+        assert main(["update", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{column} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_weight_pair_exit_2(self, tmp_path, capsys):
         cfg, _ = _update_fixture(
             tmp_path,
@@ -473,3 +489,44 @@ class TestCmdExperiment:
         cfg.write_text(json.dumps(doc))
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "observer.class_mistake" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"observer": {"class_error": "x"}},
+            {"n_buildings": "500"},
+            {"n_buildings": 2.5},
+            {"prior_widths": 5},
+            {"prior_widths": ["wide"]},
+            {"prior_widths": [float("nan")]},
+            {"gp_budgets": {"warm_xatol": "x"}},
+            {"gp_budgets": {"cold_max_iter": 2.5}},
+        ],
+        ids=[
+            "class_error",
+            "n_str",
+            "n_float",
+            "widths_scalar",
+            "widths_str",
+            "widths_nan",
+            "xatol_str",
+            "max_iter_float",
+        ],
+    )
+    def test_config_type_error_exit_2(self, tmp_path, change):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **change}))
+        for extra in (["--dry-run"], []):
+            argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
+            assert main(argv + extra) == 2
+
+    def test_dry_run_rejects_more_batches_than_observed(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        doc = {"schema_version": 1, "n_buildings": 20, "n_batches": 50}
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        argv = ["experiment", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--dry-run"]) == 2
+        assert "more batches than observed buildings" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert not out.exists()

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fragfield import gp_field
 from fragfield.cluster import balanced_kmeans, kmeans
 from fragfield.errors import InvalidInputError, NumericalFailureError
 from fragfield.gp_field import (
     CompositeKernelParams,
-    FieldPoint,
     FieldPoints,
     GpPosterior,
+    _kernel,
+    _select_inducing,
     exact_posterior,
     fit_hyperparameters,
-    isotonic_decreasing,
     kernel_matrix,
     log_marginal_likelihood,
     ordinality_violation_count,
@@ -24,7 +25,13 @@ from fragfield.gp_field import (
 
 
 def pt(i, j, x, y, arch=1, z=0.0, noise=1.0):
-    return FieldPoint(i=i, j=j, x=x, y=y, archetype=arch, z=z, noise_var=noise)
+    """One (i, j, x, y, archetype, z, noise_var) row."""
+    return (i, j, x, y, arch, z, noise)
+
+
+def fp(*rows):
+    """FieldPoints from pt() rows."""
+    return FieldPoints(*zip(*rows))
 
 
 def random_points(rng, n, n_states=3, n_arch=4):
@@ -42,12 +49,12 @@ def random_points(rng, n, n_states=3, n_arch=4):
 class TestKernelMatrix:
     def test_self_entry(self):
         p = CompositeKernelParams(sigma2_global=2.0, alpha_local=0.3)
-        k = kernel_matrix([pt(0, 0, 0, 0)], p)
+        k = kernel_matrix(fp(pt(0, 0, 0, 0)), p)
         assert k[0, 0] == pytest.approx(2.0 + 0.3 * 2.0)
 
     def test_two_buildings_rbf_value(self):
         p = CompositeKernelParams(sigma2_global=1.5, ell1=2.0, ell2=1.0)
-        pts = [pt(0, 0, 0.0, 0.0), pt(1, 0, 2.0, 0.0)]
+        pts = fp(pt(0, 0, 0.0, 0.0), pt(1, 0, 2.0, 0.0))
         k = kernel_matrix(pts, p)
         # separation of exactly one ell1 along x: sigma2 * e^-0.5
         assert k[0, 1] == pytest.approx(1.5 * math.exp(-0.5))
@@ -55,31 +62,31 @@ class TestKernelMatrix:
 
     def test_cross_archetype_factor(self):
         p = CompositeKernelParams(rho_a=0.25)
-        pts = [pt(0, 0, 0, 0, arch=1), pt(1, 0, 0, 0, arch=2)]
+        pts = fp(pt(0, 0, 0, 0, arch=1), pt(1, 0, 0, 0, arch=2))
         k = kernel_matrix(pts, p)
         assert k[0, 1] == pytest.approx(0.25 * p.sigma2_global)
 
     def test_same_building_cross_state(self):
         p = CompositeKernelParams(sigma2_global=1.0, alpha_local=0.2, tau=1.0)
-        pts = [pt(0, 0, 0, 0, z=0.5), pt(0, 1, 0, 0, z=0.5)]
+        pts = fp(pt(0, 0, 0, 0, z=0.5), pt(0, 1, 0, 0, z=0.5))
         k = kernel_matrix(pts, p)
         # global term vanishes (different states); local ~ alpha*sigma2
         assert k[0, 1] == pytest.approx(0.2 * math.exp(-1e-8 / 1.0), rel=1e-9)
 
     def test_cross_state_cross_building_is_zero(self):
         p = CompositeKernelParams()
-        pts = [pt(0, 0, 0, 0), pt(1, 1, 0.1, 0.1)]
+        pts = fp(pt(0, 0, 0, 0), pt(1, 1, 0.1, 0.1))
         k = kernel_matrix(pts, p)
         assert k[0, 1] == 0.0
 
     def test_local_z_decay(self):
         p = CompositeKernelParams(alpha_local=0.5, tau=2.0)
-        pts = [pt(0, 0, 0, 0, z=1.0), pt(0, 1, 0, 0, z=-1.0)]
+        pts = fp(pt(0, 0, 0, 0, z=1.0), pt(0, 1, 0, 0, z=-1.0))
         k = kernel_matrix(pts, p)
         expected = 0.5 * math.exp(-(2.0 + 1e-8) / 2.0)
         assert k[0, 1] == pytest.approx(expected, rel=1e-9)
 
-    def test_grid_and_full_paths_agree(self):
+    def test_permutation_equivariant(self):
         rng = np.random.default_rng(7)
         b, d = 11, 3
         grid = FieldPoints(
@@ -91,19 +98,16 @@ class TestKernelMatrix:
             z=rng.normal(0, 1, b * d),
             noise_var=np.ones(b * d),
         )
-        # same points, shuffled order -> scattered layout, full path
-        perm = rng.permutation(b * d)
-        shuffled = grid.subset(perm)
         p = CompositeKernelParams(
             sigma2_global=1.7, ell1=0.8, ell2=1.3, rho_a=0.4, alpha_local=0.3, tau=0.7
         )
-        kg = kernel_matrix(grid, p)
-        kf = kernel_matrix(shuffled, p)
-        assert grid._grid_shape() == (b, d)
-        assert shuffled._grid_shape() is None
-        # kf[perm][:, perm] reorders rows/cols back to grid order
-        inv = np.argsort(perm)
-        assert np.allclose(kg, kf[np.ix_(inv, inv)], atol=1e-14)
+        # a building-major grid and a scattered set whose buildings carry
+        # several coordinates: reordering the points reorders K exactly
+        for pts in (grid, random_points(rng, 40)):
+            perm = rng.permutation(len(pts))
+            k = kernel_matrix(pts, p)
+            k_perm = kernel_matrix(pts.subset(perm), p)
+            assert np.array_equal(k_perm, k[np.ix_(perm, perm)])
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -130,7 +134,7 @@ class TestExactPosterior:
         # K = sigma2*(1+alpha) must equal 1: set sigma2 = 1/(1+alpha)
         alpha = 0.25
         p = CompositeKernelParams(sigma2_global=1.0 / (1 + alpha), alpha_local=alpha)
-        post = exact_posterior([pt(0, 0, 0, 0, z=2.0, noise=1.0)], p)
+        post = exact_posterior(fp(pt(0, 0, 0, 0, z=2.0, noise=1.0)), p)
         assert post.mean[0] == pytest.approx(1.0, abs=1e-12)
         assert post.var[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -205,7 +209,7 @@ class TestExactPosterior:
 class TestLogMarginalLikelihood:
     def test_near_zero_kernel(self):
         p = CompositeKernelParams(sigma2_global=1e-300, alpha_local=1e-9)
-        val = log_marginal_likelihood([pt(0, 0, 0, 0, z=0.0, noise=1.0)], p)
+        val = log_marginal_likelihood(fp(pt(0, 0, 0, 0, z=0.0, noise=1.0)), p)
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-9)
 
     def test_scalar_formula(self):
@@ -214,7 +218,7 @@ class TestLogMarginalLikelihood:
         z, noise = 1.3, 0.7
         v = 2.0 * (1 + alpha) + noise
         expected = -0.5 * z * z / v - 0.5 * math.log(v) - 0.5 * math.log(2 * math.pi)
-        got = log_marginal_likelihood([pt(0, 0, 0, 0, z=z, noise=noise)], p)
+        got = log_marginal_likelihood(fp(pt(0, 0, 0, 0, z=z, noise=noise)), p)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_matches_gaussian_logpdf(self):
@@ -252,7 +256,7 @@ class TestFitHyperparameters:
 
     def test_single_point_returns_init_when_no_uphill(self):
         p = CompositeKernelParams()
-        pts = [pt(0, 0, 0, 0, z=0.0, noise=1.0)]
+        pts = fp(pt(0, 0, 0, 0, z=0.0, noise=1.0))
         fitted = fit_hyperparameters(pts, p, restarts=1, max_iter=40, seed=0)
         assert log_marginal_likelihood(pts, fitted) >= log_marginal_likelihood(pts, p)
 
@@ -309,6 +313,25 @@ class TestSparseVariational:
             svgp = sparse_variational_posterior(pts, p, inducing=np.arange(len(pts)))
             assert np.max(np.abs(svgp.mean - exact.mean)) < 1e-6
             assert np.max(np.abs(svgp.var - exact.var)) < 1e-6
+
+    def test_cross_block_equals_kernel_rows(self, monkeypatch):
+        rng = np.random.default_rng(99)
+        pts = random_points(rng, 80)
+        p = CompositeKernelParams(
+            sigma2_global=1.3, ell1=0.9, ell2=1.4, rho_a=0.3, alpha_local=0.4, tau=0.6
+        )
+        expected = kernel_matrix(pts, p)[_select_inducing(pts, 20, 4), :]
+        blocks = []
+
+        def spy(geom, params):
+            blocks.append(_kernel(geom, params))
+            return blocks[-1]
+
+        monkeypatch.setattr(gp_field, "_kernel", spy)
+        sparse_variational_posterior(pts, p, n_inducing=20, seed=4)
+        kuf = [k for k in blocks if k.shape == (20, 80)]
+        assert len(kuf) == 1
+        assert np.array_equal(kuf[0], expected)
 
     def test_rank_one_constant_over_identical_points(self):
         # identical buildings share kernel rows, so a single inducing point
@@ -400,10 +423,6 @@ class TestOrdinalityHelpers:
         assert ordinality_violation_count(pts, [0.9, 0.5, 0.2, 0.4]) == 1
         assert ordinality_violation_count(pts, [0.9, 0.5, 0.4, 0.2]) == 0
 
-    def test_isotonic_decreasing(self):
-        out = isotonic_decreasing([[0.2, 0.5, 0.1], [3.0, 2.0, 1.0]])
-        assert np.allclose(out, [[0.5, 0.2, 0.1], [3.0, 2.0, 1.0]])
-
 
 class TestCluster:
     def test_kmeans_separable(self):
@@ -440,7 +459,7 @@ class TestCluster:
 class TestValidation:
     def test_bad_noise(self):
         with pytest.raises(InvalidInputError):
-            FieldPoint(i=0, j=0, x=0, y=0, archetype=1, z=0.0, noise_var=0.0)
+            fp(pt(0, 0, 0, 0, noise=0.0))
 
     def test_bad_params(self):
         with pytest.raises(InvalidInputError):
@@ -452,4 +471,4 @@ class TestValidation:
 
     def test_nonfinite_z(self):
         with pytest.raises(InvalidInputError):
-            FieldPoint(i=0, j=0, x=0, y=0, archetype=1, z=float("nan"), noise_var=1.0)
+            fp(pt(0, 0, 0, 0, z=float("nan")))
