@@ -125,16 +125,18 @@ def beta_moments(b: BetaSurrogate) -> PnMoments:
 
 
 def local_update_cycle(
-    prior: PnMarginal,
-    batch: Iterable[WeightedObservation],
-    zeta_floor: float = ZETA_FLOOR,
+    prior: PnMarginal, batch: Iterable[WeightedObservation]
 ) -> PnMarginal:
-    """Full PN -> Beta -> conjugate update -> PN pipeline for one cell."""
+    """Full PN -> Beta -> conjugate update -> PN pipeline for one cell.
+
+    The prior variance is floored at ZETA_FLOOR so a degenerate prior still
+    has a Beta surrogate.
+    """
     batch = list(batch)
     if not batch:
         return prior
     mo = pn_moments(prior)
-    zeta = max(mo.zeta, zeta_floor)
+    zeta = max(mo.zeta, ZETA_FLOOR)
     surrogate = beta_from_pn_moments(PnMoments(mo.m, zeta))
     posterior = conjugate_update(surrogate, batch)
     return pn_from_moments(beta_moments(posterior))

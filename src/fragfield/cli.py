@@ -13,8 +13,10 @@ configs and seeds reproduce bit-identical outputs across platforms.
 from __future__ import annotations
 
 import argparse
+import numbers
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,11 +26,11 @@ from .errors import ConfigError, InvalidInputError, NumericalFailureError
 from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
 from .field_state import STATES
 from .gp_field import (
+    EXACT_SOLVE_CAP,
     FieldPoints,
     data_informed_init,
     exact_posterior,
     fit_hyperparameters,
-    log_marginal_likelihood,
     posterior_to_probability,
 )
 from .hazard import FragilityTable, TornadoTrack, build_prior_field
@@ -190,7 +192,19 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     mode = doc["mode"]
     if mode not in ("local", "gp"):
         raise ConfigError(f"mode must be 'local' or 'gp', got {mode!r}")
+    gp_budget = {"gp_restarts": 1, "gp_max_iter": 100}
+    for key in gp_budget:
+        value = doc.get(key, gp_budget[key])
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+        gp_budget[key] = value
     fs = read_field_csv(_resolve(doc["field"], config_path))
+    if mode == "gp" and fs.mu.size > EXACT_SOLVE_CAP:
+        raise InvalidInputError(
+            f"gp mode takes at most {EXACT_SOLVE_CAP // fs.n_states} buildings "
+            f"({EXACT_SOLVE_CAP} GP points over {fs.n_states} states); the field "
+            f"has {fs.n_buildings}"
+        )
     observations = read_observations_csv(_resolve(doc["observations"], config_path))
     weights = read_weights_csv(_resolve(doc["weights"], config_path))
     grouped = _group_observations(fs, observations, weights)
@@ -212,8 +226,8 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         params = fit_hyperparameters(
             pts,
             data_informed_init(pts),
-            restarts=int(doc.get("gp_restarts", 1)),
-            max_iter=int(doc.get("gp_max_iter", 100)),
+            restarts=gp_budget["gp_restarts"],
+            max_iter=gp_budget["gp_max_iter"],
             seed=0 if seed is None else seed,
         )
         post = exact_posterior(pts, params)
@@ -224,8 +238,7 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         write_gp_field_csv(gp_csv, fs)
         outputs.append(gp_csv)
         traj_csv = os.path.join(out_dir, "trajectory.csv")
-        lml = log_marginal_likelihood(pts, params)
-        write_update_trajectory_csv(traj_csv, params, lml)
+        write_update_trajectory_csv(traj_csv, params, post.log_evidence)
         outputs.append(traj_csv)
 
     field_csv = os.path.join(out_dir, "field.csv")
@@ -317,8 +330,6 @@ def cmd_experiment(config_path, out_dir, seed, dry_run) -> int:
     doc = load_config(config_path)
     config = scenario_from_dict(doc)
     if seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=seed)
     if dry_run:
         return 0

@@ -16,6 +16,8 @@ from .errors import InvalidInputError
 
 __all__ = ["kmeans", "balanced_kmeans"]
 
+_N_ITER = 100  # Lloyd iteration cap
+
 
 def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
@@ -35,7 +37,7 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def kmeans(points, k: int, *, rng, n_iter: int = 100):
+def kmeans(points, k: int, *, rng):
     """Cluster rows of ``points`` into ``k`` groups.
 
     Returns ``(labels, centroids)``.  ``rng`` is a numpy Generator (or seed).
@@ -51,7 +53,7 @@ def kmeans(points, k: int, *, rng, n_iter: int = 100):
     rng = np.random.default_rng(rng)
     centroids = _plus_plus_seed(points, k, rng)
     labels = np.zeros(n, dtype=int)
-    for _ in range(n_iter):
+    for _ in range(_N_ITER):
         d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         for c in range(k):
@@ -69,7 +71,7 @@ def kmeans(points, k: int, *, rng, n_iter: int = 100):
     return labels, centroids
 
 
-def balanced_kmeans(points, k: int, *, rng, n_iter: int = 100):
+def balanced_kmeans(points, k: int, *, rng):
     """k-means labels rebalanced so cluster sizes differ by at most one.
 
     After Lloyd converges, points are moved out of oversized clusters into
@@ -78,7 +80,7 @@ def balanced_kmeans(points, k: int, *, rng, n_iter: int = 100):
     point index, so the result is deterministic.
     """
     points = np.asarray(points, dtype=float)
-    labels, centroids = kmeans(points, k, rng=rng, n_iter=n_iter)
+    labels, centroids = kmeans(points, k, rng=rng)
     n = points.shape[0]
     lo = n // k
     hi = lo + (1 if n % k else 0)

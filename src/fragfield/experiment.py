@@ -48,7 +48,6 @@ from .gp_field import (
     data_informed_init,
     exact_posterior,
     fit_hyperparameters,
-    log_marginal_likelihood,
     ordinality_violation_count,
     posterior_to_probability,
 )
@@ -227,14 +226,14 @@ def generate_inventory(config: ScenarioConfig, rng) -> list:
     ]
 
 
-def generate_truth(inventory, track: TornadoTrack, rng, table=None) -> np.ndarray:
+def generate_truth(inventory, track: TornadoTrack, rng) -> np.ndarray:
     """True damage class per building: 0 none .. 3 complete.
 
-    Capacities are drawn per state from lognormal(median, beta); the
-    assigned class is the highest state whose sampled capacity the true
-    wind meets or exceeds.
+    Capacities are drawn per state from the default fragility table's
+    lognormal(median, beta); the assigned class is the highest state whose
+    sampled capacity the true wind meets or exceeds.
     """
-    table = table or FragilityTable.default()
+    table = FragilityTable.default()
     x = np.array([b.x for b in inventory])
     y = np.array([b.y for b in inventory])
     if track.width_total == 0.0:
@@ -520,7 +519,6 @@ def _run_single(
             var_p = var_flat.reshape(fs.mu.shape)
             fs.gp_mean_p = m
             fs.gp_var_p = var_p
-            lml = log_marginal_likelihood(pts, gp_params)
             trajectory.append(
                 TrajectoryRecord(
                     mode=mode,
@@ -533,7 +531,7 @@ def _run_single(
                     rho_a=gp_params.rho_a,
                     alpha_local=gp_params.alpha_local,
                     tau=gp_params.tau,
-                    log_marginal_likelihood=lml,
+                    log_marginal_likelihood=post.log_evidence,
                 )
             )
             violations.append(

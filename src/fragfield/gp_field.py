@@ -22,11 +22,14 @@ rows, and gathered onto the point pairs through one index in which
 cross-state pairs read a trailing zero; the local term is added at the
 same-building pairs only.
 
-Hyperparameters are fit by maximizing the log marginal likelihood with a
-derivative-free simplex search in a log/logit-transformed space.  A collapsed
-variational inducing-point posterior (``sparse_variational_posterior``) is
-available as a library function only: no CLI command reaches it, and it has
-no hyperparameter fit of its own.
+The exact posterior carries its log marginal likelihood (``log_evidence``),
+computed from the same Cholesky factor of K + diag(noise) as the posterior
+moments, so reporting a fitted GP takes one factorisation.  Hyperparameters
+are fit by maximizing the log marginal likelihood with a derivative-free
+simplex search in a log/logit-transformed space.  A collapsed variational
+inducing-point posterior (``sparse_variational_posterior``) is available as a
+library function only: no CLI command reaches it, and it has no
+hyperparameter fit of its own; its ``log_evidence`` is the collapsed bound.
 """
 
 from __future__ import annotations
@@ -98,22 +101,18 @@ class FieldPoints:
         self._cache = None
 
     @classmethod
-    def from_field_state(cls, fs, *, standardize: bool = True):
+    def from_field_state(cls, fs):
         """Flatten a FieldState into building-major points (z=mu, noise=sigma2).
 
-        Coordinates are standardized per axis by default (zero mean, unit
-        variance over buildings) so spatial lengthscales are scale-free.
+        Coordinates are standardized per axis (zero mean, unit variance over
+        buildings) so spatial lengthscales are scale-free.
         """
         n, d = fs.mu.shape
-        x, y = fs.x, fs.y
-        if standardize:
-            x = _standardize(x)
-            y = _standardize(y)
         return cls(
             i=np.repeat(np.arange(n), d),
             j=np.tile(np.arange(d), n),
-            x=np.repeat(x, d),
-            y=np.repeat(y, d),
+            x=np.repeat(_standardize(fs.x), d),
+            y=np.repeat(_standardize(fs.y), d),
             archetype=np.repeat(fs.archetype, d),
             z=fs.mu.ravel(),
             noise_var=fs.sigma2.ravel(),
@@ -204,18 +203,9 @@ class CompositeKernelParams:
     rho_a: float = 0.5
     alpha_local: float = 0.2
     tau: float = 1.0
-    jitter: float = 0.0
 
     def __post_init__(self):
-        for name in (
-            "sigma2_global",
-            "ell1",
-            "ell2",
-            "rho_a",
-            "alpha_local",
-            "tau",
-            "jitter",
-        ):
+        for name in ("sigma2_global", "ell1", "ell2", "rho_a", "alpha_local", "tau"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.sigma2_global <= 0 or self.ell1 <= 0 or self.ell2 <= 0:
             raise InvalidInputError("variance and lengthscales must be > 0")
@@ -225,16 +215,14 @@ class CompositeKernelParams:
             raise InvalidInputError("alpha_local must lie in (0, 1)")
         if self.tau <= 0:
             raise InvalidInputError("tau must be > 0")
-        if self.jitter < 0:
-            raise InvalidInputError("jitter must be >= 0")
 
 
 @dataclass
 class GpPosterior:
     mean: np.ndarray
     var: np.ndarray
-    cov: np.ndarray | None = None
-    elbo: float | None = None
+    # exact: the log marginal likelihood; sparse: its collapsed lower bound
+    log_evidence: float | None = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -269,8 +257,8 @@ def _kernel(geom: _Geometry, params: CompositeKernelParams) -> np.ndarray:
 def kernel_matrix(points: FieldPoints, params: CompositeKernelParams) -> np.ndarray:
     """Assemble the composite kernel matrix over the point set.
 
-    The jitter in ``params`` is *not* added here; solvers add it (plus the
-    heteroscedastic noise) to the diagonal themselves.
+    Neither noise nor jitter is added here; solvers add the heteroscedastic
+    noise (and any jitter) to the diagonal themselves.
     """
     return _kernel(points._geometry(), params)
 
@@ -295,8 +283,9 @@ def _chol_with_ladder(a: np.ndarray, jitter: float):
 
 
 def _exact_solve(points: FieldPoints, params: CompositeKernelParams):
-    """(K, L, alpha): the kernel, the lower Cholesky factor L of
-    K + diag(noise) and alpha = (K + diag(noise))^-1 z."""
+    """(K, L, alpha, lml): the kernel, the lower Cholesky factor L of
+    K + diag(noise), alpha = (K + diag(noise))^-1 z and the log marginal
+    likelihood log N(z | 0, K + diag(noise)) (Rasmussen & Williams, Alg. 2.1)."""
     n = len(points)
     if n > EXACT_SOLVE_CAP:
         raise InvalidInputError(
@@ -304,40 +293,36 @@ def _exact_solve(points: FieldPoints, params: CompositeKernelParams):
             "use sparse_variational_posterior"
         )
     k = kernel_matrix(points, params)
-    low, _ = _chol_with_ladder(k + np.diag(points.noise_var), params.jitter)
-    return k, low, cho_solve((low, True), points.z, check_finite=False)
+    low, _ = _chol_with_ladder(k + np.diag(points.noise_var), 0.0)
+    alpha = cho_solve((low, True), points.z, check_finite=False)
+    lml = float(
+        -0.5 * points.z @ alpha
+        - np.sum(np.log(np.diag(low)))
+        - 0.5 * len(points) * math.log(2.0 * math.pi)
+    )
+    return k, low, alpha, lml
 
 
-def exact_posterior(
-    points: FieldPoints, params: CompositeKernelParams, *, full_cov: bool = False
-):
-    k, low, alpha = _exact_solve(points, params)
+def exact_posterior(points: FieldPoints, params: CompositeKernelParams) -> GpPosterior:
+    """Posterior marginals at the points, with the log marginal likelihood
+    from the same factorisation as ``log_evidence``."""
+    k, low, alpha, lml = _exact_solve(points, params)
     mean = k @ alpha
     v = solve_triangular(low, k, lower=True, check_finite=False)
-    if full_cov:
-        cov = k - v.T @ v
-        var = np.diag(cov).copy()
-    else:
-        cov = None
-        var = np.diag(k) - np.einsum("ij,ij->j", v, v)
-    return GpPosterior(mean=mean, var=var, cov=cov)
+    var = np.diag(k) - np.einsum("ij,ij->j", v, v)
+    return GpPosterior(mean=mean, var=var, log_evidence=lml)
 
 
 def log_marginal_likelihood(
     points: FieldPoints, params: CompositeKernelParams
 ) -> float:
-    _, low, alpha = _exact_solve(points, params)
-    return float(
-        -0.5 * points.z @ alpha
-        - np.sum(np.log(np.diag(low)))
-        - 0.5 * len(points) * math.log(2.0 * math.pi)
-    )
+    return _exact_solve(points, params)[3]
 
 
 # hyperparameter search runs in an unconstrained space: log for the positive
 # parameters, logit for the (0,1) ones, affine logit for tau's box
 _TAU_LO, _TAU_HI = 0.05, 10.0
-_FIT_FIELDS = ("sigma2_global", "ell1", "ell2", "rho_a", "alpha_local", "tau")
+_FAILED = 1e12  # objective value of a point whose LML cannot be evaluated
 
 
 def _logit(p):
@@ -389,15 +374,16 @@ def fit_hyperparameters(
     max_iter: int = 500,
     tol: float = 1e-6,
     xatol: float = 1e-4,
-    perturb_scale: float = 0.5,
     seed: int = 0,
 ) -> CompositeKernelParams:
     """Maximize the log marginal likelihood over the kernel hyperparameters.
 
     Derivative-free Nelder–Mead in the transformed (unconstrained) space,
     with ``restarts`` seeded starts: the first from ``init``, the rest from
-    Gaussian perturbations of it.  The returned parameters never score below
-    ``init``.  Deterministic for a fixed seed.
+    Gaussian perturbations (scale 0.5) of it.  Each restart is scored by the
+    optimizer's own value at its returned point, which is the objective
+    evaluated there.  The returned parameters never score below ``init``.
+    Deterministic for a fixed seed.
     """
     base_val = log_marginal_likelihood(points, init)
     if not math.isfinite(base_val):
@@ -407,14 +393,14 @@ def fit_hyperparameters(
         try:
             val = -log_marginal_likelihood(points, _from_vector(t, init))
         except (NumericalFailureError, InvalidInputError):
-            return 1e12
-        return val if math.isfinite(val) else 1e12
+            return _FAILED
+        return val if math.isfinite(val) else _FAILED
 
     rng = np.random.default_rng(seed)
     t0 = _to_vector(init)
     best_params, best_val = init, base_val
     for r in range(max(restarts, 1)):
-        start = t0 if r == 0 else t0 + perturb_scale * rng.standard_normal(t0.shape)
+        start = t0 if r == 0 else t0 + 0.5 * rng.standard_normal(t0.shape)
         # explicit simplex: scipy's default steps vanish for zero coordinates
         # (log 1 = logit 0.5 = 0), freezing those hyperparameters entirely
         simplex = np.vstack([start, start + 0.5 * np.eye(len(start))])
@@ -430,13 +416,9 @@ def fit_hyperparameters(
                 "initial_simplex": simplex,
             },
         )
-        cand = _from_vector(res.x, init)
-        try:
-            val = log_marginal_likelihood(points, cand)
-        except NumericalFailureError:
-            continue
-        if val > best_val:
-            best_params, best_val = cand, val
+        # scipy returns x = sim[0] with fun = fsim[0], the objective at x
+        if res.fun < _FAILED and -res.fun > best_val:
+            best_params, best_val = _from_vector(res.x, init), -res.fun
     return best_params
 
 
@@ -512,14 +494,14 @@ def sparse_variational_posterior(
     kuf = _kernel(_pair_geometry(u, points), params)
     kff_diag = params.sigma2_global * (1.0 + params.alpha_local) * np.ones(n)
 
-    lu, _ = _chol_with_ladder(kuu, max(params.jitter, _JITTER_START))
+    lu, _ = _chol_with_ladder(kuu, _JITTER_START)
     b = solve_triangular(lu, kuf, lower=True, check_finite=False)
     qff_diag = np.einsum("ij,ij->j", b, b)
 
     inv_noise = 1.0 / points.noise_var
     c = kuf * inv_noise[None, :]
     m_mat = kuu + c @ kuf.T
-    lm, _ = _chol_with_ladder(m_mat, max(params.jitter, _JITTER_START))
+    lm, _ = _chol_with_ladder(m_mat, _JITTER_START)
 
     cz = c @ points.z
     mean = kuf.T @ cho_solve((lm, True), cz, check_finite=False)
@@ -538,7 +520,7 @@ def sparse_variational_posterior(
     elbo = float(
         -0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi) - 0.5 * trace_gap
     )
-    return GpPosterior(mean=mean, var=np.maximum(var, 0.0), elbo=elbo)
+    return GpPosterior(mean=mean, var=np.maximum(var, 0.0), log_evidence=elbo)
 
 
 def posterior_to_probability(post: GpPosterior):
@@ -546,15 +528,16 @@ def posterior_to_probability(post: GpPosterior):
     return pn_moments_vec(post.mean, post.var)
 
 
-def ordinality_violation_count(points: FieldPoints, mean_p, tol: float = 1e-12) -> int:
-    """Number of buildings whose probability means increase with severity."""
+def ordinality_violation_count(points: FieldPoints, mean_p) -> int:
+    """Number of buildings whose probability means increase with severity
+    (by more than 1e-12 between consecutive states)."""
     mean_p = np.asarray(mean_p, dtype=float)
     count = 0
     for i in np.unique(points.i):
         mask = points.i == i
         order = np.argsort(points.j[mask])
         m = mean_p[mask][order]
-        if np.any(np.diff(m) > tol):
+        if np.any(np.diff(m) > 1e-12):
             count += 1
     return int(count)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .field_state import STATES, FieldState
+from .hazard import Building
 from .probit_normal import pn_moments_vec
 
 __all__ = [
@@ -249,8 +251,6 @@ def write_gp_field_csv(path, fs: FieldState) -> None:
 
 def read_inventory_csv(path):
     """Buildings from CSV columns building_id, x, y, archetype."""
-    from .hazard import Building
-
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -393,8 +393,6 @@ class RunManifest:
     files: list = field(default_factory=list)
 
     def add_file(self, path, root) -> None:
-        import os
-
         self.files.append(
             {
                 "path": os.path.relpath(path, root),

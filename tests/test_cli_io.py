@@ -15,6 +15,12 @@ from fragfield.cli import main, scenario_from_dict
 from fragfield.errors import ConfigError, InvalidInputError
 from fragfield.experiment import default_config
 from fragfield.field_state import STATES, FieldState
+from fragfield.gp_field import (
+    EXACT_SOLVE_CAP,
+    CompositeKernelParams,
+    FieldPoints,
+    log_marginal_likelihood,
+)
 from fragfield.io import (
     RunManifest,
     check_keys,
@@ -317,7 +323,9 @@ class TestCmdPrior:
         assert main(["prior", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-def _update_fixture(tmp_path, *, obs_rows, weight_rows=None, mode="local", field=None):
+def _update_fixture(
+    tmp_path, *, obs_rows, weight_rows=None, mode="local", field=None, extra=None
+):
     field_csv = tmp_path / "field_in.csv"
     write_field_csv(field_csv, field if field is not None else _toy_field())
     obs = tmp_path / "obs.csv"
@@ -336,6 +344,7 @@ def _update_fixture(tmp_path, *, obs_rows, weight_rows=None, mode="local", field
         "observations": "obs.csv",
         "weights": "weights.csv",
         "mode": mode,
+        **(extra or {}),
     }
     cfg = tmp_path / "update.json"
     cfg.write_text(json.dumps(doc))
@@ -387,7 +396,44 @@ class TestCmdUpdate:
         assert all(float(r["var_p"]) > 0 for r in gp_rows)
         traj = list(csv.DictReader(open(out / "trajectory.csv")))
         assert len(traj) == 1
-        assert math.isfinite(float(traj[0]["log_marginal_likelihood"]))
+        lml = float(traj[0].pop("log_marginal_likelihood"))
+        assert math.isfinite(lml)
+        # the reported LML is the one of the written hyperparameters on the
+        # written field
+        params = CompositeKernelParams(**{k: float(v) for k, v in traj[0].items()})
+        pts = FieldPoints.from_field_state(read_field_csv(out / "field.csv"))
+        assert lml == pytest.approx(log_marginal_likelihood(pts, params), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "extra, n_buildings, message",
+        [
+            ({"gp_restarts": "abc"}, 3, "gp_restarts"),
+            ({"gp_restarts": 0}, 3, "gp_restarts"),
+            ({"gp_restarts": True}, 3, "gp_restarts"),
+            ({"gp_max_iter": 2.5}, 3, "gp_max_iter"),
+            ({"gp_max_iter": "100"}, 3, "gp_max_iter"),
+            ({}, EXACT_SOLVE_CAP // 3 + 1, f"at most {EXACT_SOLVE_CAP // 3} buildings"),
+        ],
+        ids=["restarts_str", "restarts_0", "restarts_bool", "iter_float", "iter_str",
+             "above_exact_cap"],
+    )
+    def test_gp_contract_exit_2_before_writing(
+        self, tmp_path, capsys, extra, n_buildings, message
+    ):
+        cfg, _ = _update_fixture(
+            tmp_path,
+            obs_rows=[["b0", "moderate", 1.0]],
+            mode="gp",
+            field=_toy_field(n_buildings),
+            extra=extra,
+        )
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "sparse_variational_posterior" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("column, value", [("mu", "nan"), ("sigma2", "inf")])
     def test_nonfinite_field_cell_exit_2(self, tmp_path, capsys, column, value):
