@@ -244,12 +244,14 @@ def _kernel(geom: _Geometry, params: CompositeKernelParams) -> np.ndarray:
     s *= params.sigma2_global
     s[geom.arch_diff] *= params.rho_a
     k = buf.take(geom.take)
-    k.flat[geom.same_building] += (
+    local = k.flat[geom.same_building] + (
         params.alpha_local
         * params.sigma2_global
         * np.exp(-geom.local_dist / params.tau)
     )
-    if not np.all(np.isfinite(k)):
+    k.flat[geom.same_building] = local
+    # every other entry of k is a copy of a site entry or the zero sentinel
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(local))):
         raise NumericalFailureError("kernel matrix has non-finite entries")
     return k
 
@@ -385,11 +387,16 @@ def fit_hyperparameters(
     evaluated there.  The returned parameters never score below ``init``.
     Deterministic for a fixed seed.
     """
-    base_val = log_marginal_likelihood(points, init)
+    # init is scored at its own vector image, which is also the first
+    # vertex of the first restart's simplex, so that point is solved once
+    t0 = _to_vector(init)
+    base_val = log_marginal_likelihood(points, _from_vector(t0, init))
     if not math.isfinite(base_val):
         raise InvalidInputError("log marginal likelihood non-finite at init")
 
     def objective(t):
+        if np.array_equal(t, t0):
+            return -base_val
         try:
             val = -log_marginal_likelihood(points, _from_vector(t, init))
         except (NumericalFailureError, InvalidInputError):
@@ -397,7 +404,6 @@ def fit_hyperparameters(
         return val if math.isfinite(val) else _FAILED
 
     rng = np.random.default_rng(seed)
-    t0 = _to_vector(init)
     best_params, best_val = init, base_val
     for r in range(max(restarts, 1)):
         start = t0 if r == 0 else t0 + 0.5 * rng.standard_normal(t0.shape)

@@ -17,8 +17,11 @@ argument pair.  Phi2 is evaluated through the 1-D reduction
     Phi2(h, h, rho) = Phi(h)^2 + (1/2pi) * int_0^rho exp(-h^2/(1+r)) / sqrt(1-r^2) dr,
 
 which after r = sin(u) becomes a smooth integral over [0, arcsin(rho)].
-The inverse map (moments -> latent parameters) is a 1-D bisection in eta,
-since Phi2(v, v, eta) is strictly increasing in eta.
+The inverse map (moments -> latent parameters) fixes v = Phi^{-1}(m) and
+solves for u = arcsin(eta) by Newton's method on log C(v, u) = log zeta,
+where C is that correction term, compared against zeta directly (never
+against zeta + m^2, which would round the upper tail away).  Its derivative
+dC/du = exp(-v^2/(1+sin u))/(2pi) is the integrand itself.
 """
 
 from __future__ import annotations
@@ -143,19 +146,27 @@ def std_normal_quantile(p):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
+def _phi2_correction_u(h2, ub):
+    """(1/2pi) * int_0^ub exp(-h2/(1+sin u)) du, vectorized over (h2, ub).
+
+    64-node Gauss-Legendre on u in [0, ub].  The nodes are summed row by row
+    rather than by a BLAS product, so a row's value does not depend on the
+    batch it is computed in.
+    """
+    half = 0.5 * ub
+    # u-nodes for each element: shape (..., 64)
+    u = half[..., None] * (_GL_NODES + 1.0)
+    vals = np.exp(-h2[..., None] / (1.0 + np.sin(u)))
+    return (half / (2.0 * np.pi)) * (vals * _GL_WEIGHTS).sum(axis=-1)
+
+
 def _phi2_correction_gl(h, rho):
     """(1/2pi) * int_0^rho exp(-h^2/(1+r))/sqrt(1-r^2) dr, vectorized.
 
     Uses r = sin(u) and 64-node Gauss-Legendre on u in [0, arcsin(rho)].
     """
     h = np.asarray(h, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    ub = np.arcsin(rho)
-    half = 0.5 * ub
-    # u-nodes for each element: shape (..., 64)
-    u = half[..., None] * (_GL_NODES + 1.0)
-    vals = np.exp(-(h[..., None] ** 2) / (1.0 + np.sin(u)))
-    return (half / (2.0 * np.pi)) * (vals @ _GL_WEIGHTS)
+    return _phi2_correction_u(h * h, np.arcsin(np.asarray(rho, dtype=float)))
 
 
 def bivariate_equal_cdf(h: float, rho: float) -> float:
@@ -210,8 +221,10 @@ def pn_moments_vec(mu, sigma2):
 def pn_from_moments(mo: PnMoments) -> PnMarginal:
     """Invert (m, zeta) back to latent (mu, sigma2).
 
-    v = Phi^{-1}(m) is fixed by the mean; eta is found by bisection on
-    Phi2(v, v, eta) = zeta + m^2 (strictly increasing in eta), then
+    v = Phi^{-1}(m) is fixed by the mean.  With u = arcsin(eta), the
+    correction term C(v, u) = Phi2(v, v, sin u) - m^2 rises strictly from 0
+    at u = 0 to m(1-m) at u = pi/2, and u solves C(v, u) = zeta by
+    safeguarded Newton steps on log C - log zeta.  Then eta = sin(u),
     sigma2 = eta/(1-eta) (capped at SIGMA2_CAP) and mu = v*sqrt(1+sigma2).
     """
     m, zeta = float(mo.m), float(mo.zeta)
@@ -223,31 +236,50 @@ def pn_from_moments(mo: PnMoments) -> PnMarginal:
         raise InfeasibleMomentsError(
             f"zeta={zeta!r} >= m(1-m)={m * (1.0 - m)!r}: infeasible for a PN law"
         )
-    if zeta == 0.0:
-        return PnMarginal(float(ndtri(m)), 0.0)
     mu, sigma2 = pn_from_moments_vec(np.array([m]), np.array([zeta]))
     return PnMarginal(float(mu[0]), float(sigma2[0]))
 
 
+_NEWTON_MAX_ITER = 60
+_NEWTON_RTOL = 1e-12  # a step below this share of u ends a cell's iteration
+
+
 def pn_from_moments_vec(m, zeta):
-    """Vectorized inverse moment map; assumes feasible inputs (see scalar op)."""
+    """Vectorized inverse moment map; assumes feasible inputs (see scalar op).
+
+    Each cell iterates on its own: C is convex in u with slope
+    exp(-v^2)/2pi at u = 0, so u0 = 2pi zeta exp(v^2) (at most pi/2) lies
+    above the root and starts the bracket [0, u0].  A Newton step that
+    leaves the bracket is replaced by bisection, and a cell whose step falls
+    below _NEWTON_RTOL * u stops, so its result does not depend on the other
+    cells of the call.  zeta = 0 gives sigma2 = 0 without iterating.
+    """
     m = np.asarray(m, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     v = ndtri(m)
-    target = zeta + m * m
-    lo = np.zeros_like(m)
-    hi = np.full_like(m, 1.0 - 1e-15)
-    m2 = m * m
-    # ~43 halvings bring the bracket width below 1e-13
-    for _ in range(43):
-        mid = 0.5 * (lo + hi)
-        val = m2 + _phi2_correction_gl(v, mid)
-        above = val > target
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    eta = 0.5 * (lo + hi)
+    h2 = v * v
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_zeta = np.log(zeta)
+        hi = np.minimum(2.0 * np.pi * zeta * np.exp(h2), 0.5 * np.pi)
+        lo = np.zeros_like(hi)
+        u = hi.copy()
+        active = zeta > 0.0
+        for _ in range(_NEWTON_MAX_ITER):
+            if not active.any():
+                break
+            c = _phi2_correction_u(h2, u)
+            g = np.log(c) - log_zeta
+            lo = np.where(g < 0.0, u, lo)
+            hi = np.where(g > 0.0, u, hi)
+            dlogc = np.exp(-h2 / (1.0 + np.sin(u))) / (2.0 * np.pi * c)
+            new = u - g / dlogc
+            inside = (new > lo) & (new < hi)
+            new = np.where(inside, new, 0.5 * (lo + hi))
+            new = np.where(active, new, u)
+            active &= np.abs(new - u) > _NEWTON_RTOL * new
+            u = new
     eta_cap = SIGMA2_CAP / (1.0 + SIGMA2_CAP)
-    eta = np.where(zeta == 0.0, 0.0, np.minimum(eta, eta_cap))
+    eta = np.where(zeta == 0.0, 0.0, np.minimum(np.sin(u), eta_cap))
     sigma2 = eta / (1.0 - eta)
     mu = v * np.sqrt(1.0 + sigma2)
     return mu, sigma2

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import betaln, log_ndtr, ndtri
 
 from fragfield.beta_bridge import (
     BetaSurrogate,
@@ -191,7 +193,83 @@ class TestLocalUpdateCycle:
         assert pn_moments(post).zeta < pn_moments(prior).zeta
 
 
+def _kl_on_unit_interval(p, b, direction):
+    """The earlier quadrature: the x-space integral on (1e-12, 1 - 1e-12)."""
+    mu, sigma = p.mu, math.sqrt(p.sigma2)
+
+    def log_pn(x):
+        z = float(ndtri(x))
+        return -0.5 * ((z - mu) / sigma) ** 2 - math.log(sigma) + 0.5 * z * z
+
+    def log_beta(x):
+        return (
+            (b.alpha - 1) * math.log(x)
+            + (b.gamma - 1) * math.log1p(-x)
+            - float(betaln(b.alpha, b.gamma))
+        )
+
+    def integrand(x):
+        lp, lq = log_pn(x), log_beta(x)
+        if direction == "pn_to_beta":
+            return math.exp(lp) * (lp - lq)
+        return math.exp(lq) * (lq - lp)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(
+            integrand, 1e-12, 1 - 1e-12, points=[1e-3, 0.5, 1 - 1e-3], limit=400,
+            epsabs=1e-11, epsrel=1e-9,
+        )
+    return val / math.log(2)
+
+
+def _kl_trapezoid(p, b, direction):
+    """Dense trapezoid on the probit axis z in [-60, 60], vectorized."""
+    z = np.linspace(-60.0, 60.0, 1_200_001)
+    s = math.sqrt(p.sigma2)
+    lp = -0.5 * ((z - p.mu) / s) ** 2 - math.log(s) - 0.5 * math.log(2 * math.pi)
+    lq = (
+        (b.alpha - 1) * log_ndtr(z)
+        + (b.gamma - 1) * log_ndtr(-z)
+        - 0.5 * z * z
+        - betaln(b.alpha, b.gamma)
+        - 0.5 * math.log(2 * math.pi)
+    )
+    f = np.exp(lp) * (lp - lq) if direction == "pn_to_beta" else np.exp(lq) * (lq - lp)
+    return float(np.trapezoid(f, z)) / math.log(2)
+
+
 class TestKl:
+    @pytest.mark.parametrize("direction", ["pn_to_beta", "beta_to_pn"])
+    def test_mid_range_matches_unit_interval_quadrature(self, direction):
+        # no mass lies beyond 1e-12 of the edges here, so both agree
+        p = PnMarginal(0.0, 0.5)
+        b = beta_from_pn_moments(pn_moments(p))
+        old = _kl_on_unit_interval(p, b, direction)
+        assert kl_pn_beta(p, b, direction) == pytest.approx(old, rel=1e-6, abs=1e-10)
+
+    def test_edge_mass_is_counted(self):
+        # a01's worst point: the Beta (gamma ~ 0.14) puts mass within 1e-12
+        # of x = 1 that the unit-interval quadrature dropped (1.36 bits)
+        p = PnMarginal(3.0, 0.5)
+        b = beta_from_pn_moments(pn_moments(p))
+        kl = kl_pn_beta(p, b, "beta_to_pn")
+        assert _kl_on_unit_interval(p, b, "beta_to_pn") < 1.37
+        assert kl > 1.36
+        assert kl == pytest.approx(2.28, abs=0.01)
+        assert kl == pytest.approx(_kl_trapezoid(p, b, "beta_to_pn"), rel=1e-7)
+
+    def test_mirror_symmetry(self):
+        # x -> 1 - x maps PN(mu) to PN(-mu) and Beta(a, g) to Beta(g, a)
+        for mu, s2 in ((3.0, 0.5), (-1.2, 2.0)):
+            p, q = PnMarginal(mu, s2), PnMarginal(-mu, s2)
+            bp = beta_from_pn_moments(pn_moments(p))
+            bq = BetaSurrogate(bp.gamma, bp.alpha)
+            for direction in ("pn_to_beta", "beta_to_pn"):
+                assert kl_pn_beta(p, bp, direction) == pytest.approx(
+                    kl_pn_beta(q, bq, direction), rel=1e-9
+                )
+
     def test_pn01_is_uniform(self):
         # PN(0,1) has density phi(ndtri(x))/phi(ndtri(x)) = 1: uniform
         x = np.linspace(1e-6, 1 - 1e-6, 101)

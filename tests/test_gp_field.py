@@ -109,6 +109,20 @@ class TestKernelMatrix:
             k_perm = kernel_matrix(pts.subset(perm), p)
             assert np.array_equal(k_perm, k[np.ix_(perm, perm)])
 
+    def test_nan_site_entry_raises(self):
+        # ell1**2 underflows to 0, so 0/0 puts NaN on the site diagonal
+        pts = fp(pt(0, 0, 0, 0), pt(1, 0, 1.0, 0.5))
+        with pytest.raises(NumericalFailureError):
+            kernel_matrix(pts, CompositeKernelParams(ell1=1e-200))
+
+    def test_overflow_in_same_building_term_raises(self):
+        # every site entry is finite (at most 1e308); only the sum with the
+        # local term at same-building pairs overflows (1e308 + 0.9e308)
+        pts = fp(pt(0, 0, 0, 0, z=0.5), pt(0, 1, 0, 0, z=0.5), pt(1, 0, 3.0, 0))
+        p = CompositeKernelParams(sigma2_global=1e308, alpha_local=0.9)
+        with pytest.raises(NumericalFailureError):
+            kernel_matrix(pts, p)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_psd_random_configs(self, seed):
@@ -248,6 +262,23 @@ class TestFitHyperparameters:
         a = fit_hyperparameters(pts, init, restarts=2, max_iter=60, seed=5)
         b = fit_hyperparameters(pts, init, restarts=2, max_iter=60, seed=5)
         assert a == b
+
+    def test_init_vertex_solved_once(self, monkeypatch):
+        # init's score and the first simplex vertex are the same point
+        seen = []
+        solve = gp_field._exact_solve
+
+        def spy(points, params):
+            seen.append(params)
+            return solve(points, params)
+
+        monkeypatch.setattr(gp_field, "_exact_solve", spy)
+        rng = np.random.default_rng(23)
+        pts = random_points(rng, 20)
+        init = CompositeKernelParams()
+        fit_hyperparameters(pts, init, restarts=1, max_iter=30)
+        assert seen[0] == gp_field._from_vector(gp_field._to_vector(init), init)
+        assert len(seen) == len(set(seen))
 
     def test_single_point_returns_init_when_no_uphill(self):
         p = CompositeKernelParams()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from fragfield.errors import (
     DomainError,
@@ -12,6 +13,7 @@ from fragfield.errors import (
     InvalidInputError,
 )
 from fragfield.probit_normal import (
+    SIGMA2_CAP,
     CapacityLaw,
     HazardLaw,
     PnMarginal,
@@ -159,6 +161,17 @@ class TestPnMoments:
         hi = pn_moments(PnMarginal(mu + delta, sigma2))
         assert hi.m > lo.m
 
+    def test_vec_row_equals_scalar_exactly(self):
+        # a cell's moments do not depend on the batch it is computed in
+        rng = np.random.default_rng(5)
+        mu = rng.uniform(-6, 6, 500)
+        s2 = np.exp(rng.uniform(math.log(1e-4), math.log(100), 500))
+        s2[::50] = 0.0
+        m, zeta = pn_moments_vec(mu, s2)
+        for k in range(len(mu)):
+            mo = pn_moments(PnMarginal(mu[k], s2[k]))
+            assert (mo.m, mo.zeta) == (m[k], zeta[k])
+
     def test_zeta_vanishes_with_sigma(self):
         zetas = [pn_moments(PnMarginal(0.7, s2)).zeta for s2 in (1.0, 0.1, 0.01, 1e-4)]
         assert all(a > b for a, b in zip(zetas, zetas[1:]))
@@ -210,6 +223,103 @@ class TestPnFromMoments:
             p = pn_from_moments(PnMoments(m[i], zeta[i]))
             assert mus[i] == pytest.approx(p.mu, abs=1e-10)
             assert s2s[i] == pytest.approx(p.sigma2, abs=1e-8)
+
+
+def _rounding_floor(mu, s2):
+    """First-order (mu, sigma2) error that an exact inverse makes when it is
+    fed (m, zeta) as doubles: one ulp of m (in the upper tail 1 - m keeps only
+    a few significant bits) and a few ulps of zeta, mapped back through the
+    inverse of the forward map's Jacobian (central differences)."""
+    m, zeta = pn_moments_vec(mu, s2)
+    hm, hs = 1e-5, 1e-5 * s2
+    jac = np.empty((2, 2))
+    for col, (d_mu, d_s2) in enumerate(((hm, 0.0), (0.0, hs))):
+        up = pn_moments_vec(mu + d_mu, s2 + d_s2)
+        down = pn_moments_vec(mu - d_mu, s2 - d_s2)
+        jac[:, col] = (np.array(up) - np.array(down)) / (2 * (d_mu + d_s2))
+    err_in = np.array([np.spacing(m), 4 * np.finfo(float).eps * zeta])
+    return np.abs(np.linalg.inv(jac)) @ err_in
+
+
+def _assert_round_trip(mu, s2):
+    back = pn_from_moments(pn_moments(PnMarginal(mu, s2)))
+    floor_mu, floor_s2 = _rounding_floor(mu, s2)
+    assert abs(back.mu - mu) <= 1e-9 + floor_mu
+    assert abs(back.sigma2 - s2) <= 1e-9 * s2 + floor_s2
+
+
+class TestPnFromMomentsTails:
+    @pytest.mark.parametrize("mu", [5.0, -5.0])
+    def test_symmetric_tail_round_trip(self, mu):
+        back = pn_from_moments(pn_moments(PnMarginal(mu, 0.01)))
+        assert abs(back.sigma2 - 0.01) <= 1e-9 * 0.01
+        assert abs(back.mu - mu) <= 1e-9
+
+    def test_tail_round_trip_grid(self):
+        # relative sigma2 error 1e-9 and mu error 1e-9 on top of what the
+        # rounding of m alone costs; that floor matters only for mu > 5,
+        # where 1 - m < 3e-7 carries fewer than 30 significant bits
+        for mu in np.linspace(-6.0, 6.0, 25):
+            for s2 in np.geomspace(1e-3, 50.0, 12):
+                _assert_round_trip(float(mu), float(s2))
+        floor_mu, floor_s2 = _rounding_floor(-6.0, 1e-3)
+        assert floor_mu < 1e-12 and floor_s2 < 1e-12 * 1e-3
+
+    @given(mu=st.floats(-6, 6), log_s2=st.floats(math.log(1e-3), math.log(50)))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, mu, log_s2):
+        _assert_round_trip(mu, math.exp(log_s2))
+
+    @given(
+        m=st.floats(1e-9, 1 - 1e-9),
+        frac=st.floats(1e-9, 1 - 1e-6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_moment_reproduction_property(self, m, frac):
+        zeta = frac * m * (1.0 - m)
+        p = pn_from_moments(PnMoments(m, zeta))
+        out = pn_moments(p)
+        assert out.m == pytest.approx(m, rel=1e-12, abs=1e-15)
+        if p.sigma2 == pytest.approx(SIGMA2_CAP, rel=1e-9):
+            # the cap gives up some variance of a nearly Bernoulli cell
+            assert out.zeta < zeta
+        else:
+            assert out.zeta == pytest.approx(zeta, rel=1e-9)
+
+    def test_zero_zeta_gives_zero_variance(self):
+        m = np.array([0.02, 0.5, 0.97])
+        mu, s2 = pn_from_moments_vec(m, np.zeros(3))
+        assert np.array_equal(s2, np.zeros(3))
+        assert np.array_equal(mu, ndtri(m))
+
+    @pytest.mark.parametrize("m", [1e-6, 0.1, 0.5, 0.9, 1 - 1e-6])
+    def test_zeta_just_below_bound_hits_cap(self, m):
+        zeta = np.nextafter(m * (1.0 - m), 0.0)
+        p = pn_from_moments(PnMoments(m, zeta))
+        assert p.sigma2 == pytest.approx(SIGMA2_CAP, rel=1e-9)
+        assert p.mu == pytest.approx(ndtri(m) * math.sqrt(1 + SIGMA2_CAP), rel=1e-9)
+
+    @pytest.mark.parametrize("m", [1e-12, 0.5e-12, 1 - 1e-12, 1 - 0.5e-12])
+    @pytest.mark.parametrize("frac", [1e-6, 0.3, 0.99])
+    def test_m_at_the_edges(self, m, frac):
+        zeta = frac * m * (1.0 - m)
+        p = pn_from_moments(PnMoments(m, zeta))
+        assert math.isfinite(p.mu) and 0.0 < p.sigma2 < SIGMA2_CAP
+        out = pn_moments(p)
+        assert out.m == pytest.approx(m, rel=1e-12, abs=1e-15)
+        assert out.zeta == pytest.approx(zeta, rel=1e-9)
+
+    def test_vec_row_equals_scalar_exactly(self):
+        # a cell's result does not depend on which cells share the call
+        rng = np.random.default_rng(9)
+        mu0 = rng.uniform(-6, 6, 400)
+        s20 = np.exp(rng.uniform(math.log(1e-3), math.log(50), 400))
+        m, zeta = pn_moments_vec(mu0, s20)
+        zeta[::40] = 0.0
+        mus, s2s = pn_from_moments_vec(m, zeta)
+        for k in range(len(m)):
+            p = pn_from_moments(PnMoments(m[k], zeta[k]))
+            assert (p.mu, p.sigma2) == (mus[k], s2s[k])
 
 
 class TestLatentFromPhysics:
