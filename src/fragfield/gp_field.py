@@ -22,14 +22,18 @@ rows, and gathered onto the point pairs through one index in which
 cross-state pairs read a trailing zero; the local term is added at the
 same-building pairs only.
 
+An exact solve allocates one n x n array: the kernel is gathered straight
+into it, the noise is added on its diagonal, and LAPACK ``dpotrf`` factors
+it in place, with one shared jitter ladder for the exact and sparse paths.
 The exact posterior carries its log marginal likelihood (``log_evidence``),
 computed from the same Cholesky factor of K + diag(noise) as the posterior
-moments, so reporting a fitted GP takes one factorisation.  Hyperparameters
-are fit by maximizing the log marginal likelihood with a derivative-free
-simplex search in a log/logit-transformed space.  A collapsed variational
-inducing-point posterior (``sparse_variational_posterior``) is available as a
-library function only: no CLI command reaches it, and it has no
-hyperparameter fit of its own; its ``log_evidence`` is the collapsed bound.
+moments, so reporting a fitted GP takes one factorisation; it assembles K a
+second time for the moments, because the factor overwrote the first.
+Hyperparameters are fit by maximizing the log marginal likelihood with a
+derivative-free simplex search in a log/logit-transformed space.  A collapsed
+variational inducing-point posterior (``sparse_variational_posterior``) is
+available as a library function only: no CLI command reaches it, and it has
+no hyperparameter fit of its own; its ``log_evidence`` is the collapsed bound.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 from .cluster import kmeans
@@ -235,15 +240,20 @@ class GpPosterior:
         self.var = np.maximum(self.var, 0.0)
 
 
-def _kernel(geom: _Geometry, params: CompositeKernelParams) -> np.ndarray:
-    """K(a, b) for the point sets whose geometry is ``geom``."""
+def _kernel(
+    geom: _Geometry, params: CompositeKernelParams, out: np.ndarray | None = None
+) -> np.ndarray:
+    """K(a, b) for the point sets whose geometry is ``geom``, written into
+    ``out`` (a C-contiguous n_a x n_b float array) when one is given."""
     n_sites_a, n_sites_b = geom.dx2.shape
     buf = np.zeros(n_sites_a * n_sites_b + 1)  # last entry: cross-state pairs
     s = buf[:-1].reshape(n_sites_a, n_sites_b)
     np.exp(-0.5 * (geom.dx2 / params.ell1**2 + geom.dy2 / params.ell2**2), out=s)
     s *= params.sigma2_global
     s[geom.arch_diff] *= params.rho_a
-    k = buf.take(geom.take)
+    # every index is in range; the default mode="raise" would gather into a
+    # temporary and copy it to ``out``, where "clip" writes straight into it
+    k = buf.take(geom.take, out=out, mode="clip")
     local = k.flat[geom.same_building] + (
         params.alpha_local
         * params.sigma2_global
@@ -256,27 +266,43 @@ def _kernel(geom: _Geometry, params: CompositeKernelParams) -> np.ndarray:
     return k
 
 
-def kernel_matrix(points: FieldPoints, params: CompositeKernelParams) -> np.ndarray:
+def kernel_matrix(
+    points: FieldPoints, params: CompositeKernelParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """Assemble the composite kernel matrix over the point set.
 
     Neither noise nor jitter is added here; solvers add the heteroscedastic
-    noise (and any jitter) to the diagonal themselves.
+    noise (and any jitter) to the diagonal themselves.  ``out``, a
+    C-contiguous n x n float array, receives K in place of a new array.
     """
-    return _kernel(points._geometry(), params)
+    # without a buffer, keep the two-argument call that
+    # test_cross_block_equals_kernel_rows replaces with a spy
+    if out is None:
+        return _kernel(points._geometry(), params)
+    return _kernel(points._geometry(), params, out)
 
 
-def _chol_with_ladder(a: np.ndarray, jitter: float):
-    """Lower Cholesky of a (+ jitter I), escalating jitter on failure."""
-    n = a.shape[0]
+def _chol_with_ladder(n: int, assemble, jitter: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of A + jitter I, escalating jitter on failure.
+
+    ``assemble(buf)`` writes the n x n matrix A into ``buf``, a Fortran-order
+    array whose lower triangle LAPACK ``dpotrf`` then factors in place.  The
+    returned factor is that buffer: its lower triangle holds L, and its strict
+    upper triangle still holds A, so every reader must use the lower triangle
+    only.  A failed factorisation leaves ``buf`` partly overwritten, so A is
+    assembled again before each rung of the ladder.
+    """
+    buf = np.empty((n, n), order="F")
     attempt = jitter
     while True:
-        try:
-            shifted = a if attempt == 0 else a + attempt * np.eye(n)
-            return cholesky(shifted, lower=True, check_finite=False), attempt
-        except np.linalg.LinAlgError:
-            pass
-        except ValueError as exc:  # non-finite input
-            raise NumericalFailureError(str(exc)) from exc
+        assemble(buf)
+        if attempt:
+            buf.T.flat[:: n + 1] += attempt
+        low, info = dpotrf(buf, lower=1, overwrite_a=1, clean=0)
+        if info == 0:
+            return low, attempt
+        if info < 0:
+            raise NumericalFailureError(f"dpotrf rejected argument {-info}")
         attempt = _JITTER_START if attempt == 0 else attempt * 10.0
         if attempt > _JITTER_CAP:
             raise NumericalFailureError(
@@ -285,30 +311,39 @@ def _chol_with_ladder(a: np.ndarray, jitter: float):
 
 
 def _exact_solve(points: FieldPoints, params: CompositeKernelParams):
-    """(K, L, alpha, lml): the kernel, the lower Cholesky factor L of
-    K + diag(noise), alpha = (K + diag(noise))^-1 z and the log marginal
-    likelihood log N(z | 0, K + diag(noise)) (Rasmussen & Williams, Alg. 2.1)."""
+    """(L, alpha, lml): the lower Cholesky factor L of K + diag(noise) (as
+    ``_chol_with_ladder`` returns it), alpha = (K + diag(noise))^-1 z and the
+    log marginal likelihood log N(z | 0, K + diag(noise)) (Rasmussen &
+    Williams, Alg. 2.1).  K is assembled straight into the buffer LAPACK
+    factors, so the solve allocates one n x n array."""
     n = len(points)
     if n > EXACT_SOLVE_CAP:
         raise InvalidInputError(
             f"{n} points exceeds the exact-solve cap {EXACT_SOLVE_CAP}; "
             "use sparse_variational_posterior"
         )
-    k = kernel_matrix(points, params)
-    low, _ = _chol_with_ladder(k + np.diag(points.noise_var), 0.0)
-    alpha = cho_solve((low, True), points.z, check_finite=False)
+
+    def assemble(buf):
+        # K is symmetric, so the C-order view of the Fortran buffer takes it
+        k = kernel_matrix(points, params, out=buf.T)
+        k.flat[:: n + 1] += points.noise_var
+
+    low, _ = _chol_with_ladder(n, assemble, 0.0)
+    alpha, _ = dpotrs(low, points.z, lower=1)
     lml = float(
         -0.5 * points.z @ alpha
-        - np.sum(np.log(np.diag(low)))
-        - 0.5 * len(points) * math.log(2.0 * math.pi)
+        - np.sum(np.log(low.diagonal()))
+        - 0.5 * n * math.log(2.0 * math.pi)
     )
-    return k, low, alpha, lml
+    return low, alpha, lml
 
 
 def exact_posterior(points: FieldPoints, params: CompositeKernelParams) -> GpPosterior:
     """Posterior marginals at the points, with the log marginal likelihood
     from the same factorisation as ``log_evidence``."""
-    k, low, alpha, lml = _exact_solve(points, params)
+    low, alpha, lml = _exact_solve(points, params)
+    # the factor overwrote the solve's copy of K
+    k = kernel_matrix(points, params)
     mean = k @ alpha
     v = solve_triangular(low, k, lower=True, check_finite=False)
     var = np.diag(k) - np.einsum("ij,ij->j", v, v)
@@ -318,7 +353,7 @@ def exact_posterior(points: FieldPoints, params: CompositeKernelParams) -> GpPos
 def log_marginal_likelihood(
     points: FieldPoints, params: CompositeKernelParams
 ) -> float:
-    return _exact_solve(points, params)[3]
+    return _exact_solve(points, params)[2]
 
 
 # hyperparameter search runs in an unconstrained space: log for the positive
@@ -494,23 +529,24 @@ def sparse_variational_posterior(
     inducing = np.asarray(inducing, dtype=int)
     if len(inducing) == 0 or len(inducing) > n:
         raise InvalidInputError("inducing set must be a non-empty subset")
+    m = len(inducing)
     u = points.subset(inducing)
 
     kuu = kernel_matrix(u, params)
     kuf = _kernel(_pair_geometry(u, points), params)
     kff_diag = params.sigma2_global * (1.0 + params.alpha_local) * np.ones(n)
 
-    lu, _ = _chol_with_ladder(kuu, _JITTER_START)
+    lu, _ = _chol_with_ladder(m, lambda buf: np.copyto(buf, kuu), _JITTER_START)
     b = solve_triangular(lu, kuf, lower=True, check_finite=False)
     qff_diag = np.einsum("ij,ij->j", b, b)
 
     inv_noise = 1.0 / points.noise_var
     c = kuf * inv_noise[None, :]
     m_mat = kuu + c @ kuf.T
-    lm, _ = _chol_with_ladder(m_mat, _JITTER_START)
+    lm, _ = _chol_with_ladder(m, lambda buf: np.copyto(buf, m_mat), _JITTER_START)
 
     cz = c @ points.z
-    mean = kuf.T @ cho_solve((lm, True), cz, check_finite=False)
+    mean = kuf.T @ dpotrs(lm, cz, lower=1)[0]
     t = solve_triangular(lm, kuf, lower=True, check_finite=False)
     var = kff_diag - qff_diag + np.einsum("ij,ij->j", t, t)
 
@@ -537,14 +573,8 @@ def posterior_to_probability(post: GpPosterior):
 def ordinality_violation_count(points: FieldPoints, mean_p) -> int:
     """Number of buildings whose probability means increase with severity
     (by more than 1e-12 between consecutive states)."""
-    mean_p = np.asarray(mean_p, dtype=float)
-    count = 0
-    for i in np.unique(points.i):
-        mask = points.i == i
-        order = np.argsort(points.j[mask])
-        m = mean_p[mask][order]
-        if np.any(np.diff(m) > 1e-12):
-            count += 1
-    return int(count)
-
-
+    order = np.lexsort((points.j, points.i))
+    i = points.i[order]
+    mean_p = np.asarray(mean_p, dtype=float)[order]
+    rises = (np.diff(mean_p) > 1e-12) & (i[1:] == i[:-1])
+    return int(np.unique(i[1:][rises]).size)

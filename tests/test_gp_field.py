@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from fragfield import gp_field
 from fragfield.cluster import balanced_kmeans, kmeans
@@ -43,6 +45,103 @@ def random_points(rng, n, n_states=3, n_arch=4):
         archetype=rng.integers(1, n_arch + 1, n),
         z=rng.normal(0, 1, n),
         noise_var=rng.uniform(0.05, 2.0, n),
+    )
+
+
+def grid_points(rng, b, d=3):
+    """Building-major set: every building carries all d states at one site."""
+    return FieldPoints(
+        i=np.repeat(np.arange(b), d),
+        j=np.tile(np.arange(d), b),
+        x=np.repeat(rng.normal(0, 1, b), d),
+        y=np.repeat(rng.normal(0, 1, b), d),
+        archetype=np.repeat(rng.integers(1, 5, b), d),
+        z=rng.normal(0, 1, b * d),
+        noise_var=rng.uniform(1e-3, 1.0, b * d),
+    )
+
+
+def random_params(rng):
+    return CompositeKernelParams(
+        sigma2_global=float(rng.uniform(0.1, 5)),
+        ell1=float(rng.uniform(0.2, 3)),
+        ell2=float(rng.uniform(0.2, 3)),
+        rho_a=float(rng.uniform(0.05, 0.95)),
+        alpha_local=float(rng.uniform(0.05, 0.95)),
+        tau=float(rng.uniform(0.1, 5)),
+    )
+
+
+def reference_chol(a, jitter):
+    """Copy-based jitter ladder: scipy's cholesky on a + attempt * I."""
+    attempt = jitter
+    while True:
+        try:
+            shifted = a if attempt == 0 else a + attempt * np.eye(len(a))
+            return cholesky(shifted, lower=True, check_finite=False), attempt
+        except np.linalg.LinAlgError:
+            attempt = 1e-10 if attempt == 0 else attempt * 10.0
+            assert attempt <= 1e-4
+
+
+def reference_exact(points, params):
+    """(lml, mean, var, jitter) from K + diag(noise) formed as a new array."""
+    k = kernel_matrix(points, params)
+    low, jitter = reference_chol(k + np.diag(points.noise_var), 0.0)
+    alpha = cho_solve((low, True), points.z, check_finite=False)
+    lml = float(
+        -0.5 * points.z @ alpha
+        - np.sum(np.log(np.diag(low)))
+        - 0.5 * len(points) * math.log(2.0 * math.pi)
+    )
+    v = solve_triangular(low, k, lower=True, check_finite=False)
+    var = np.diag(k) - np.einsum("ij,ij->j", v, v)
+    return lml, k @ alpha, np.maximum(var, 0.0), jitter
+
+
+def reference_sparse(points, params, inducing):
+    """(mean, var, bound) of the collapsed posterior with copied Kuu and M."""
+    n = len(points)
+    u = points.subset(inducing)
+    kuu = kernel_matrix(u, params)
+    kuf = _kernel(gp_field._pair_geometry(u, points), params)
+    kff_diag = params.sigma2_global * (1.0 + params.alpha_local) * np.ones(n)
+    lu, _ = reference_chol(kuu, 1e-10)
+    b = solve_triangular(lu, kuf, lower=True, check_finite=False)
+    qff_diag = np.einsum("ij,ij->j", b, b)
+    inv_noise = 1.0 / points.noise_var
+    c = kuf * inv_noise[None, :]
+    lm, _ = reference_chol(kuu + c @ kuf.T, 1e-10)
+    cz = c @ points.z
+    mean = kuf.T @ cho_solve((lm, True), cz, check_finite=False)
+    t = solve_triangular(lm, kuf, lower=True, check_finite=False)
+    var = kff_diag - qff_diag + np.einsum("ij,ij->j", t, t)
+    w = solve_triangular(lm, cz, lower=True, check_finite=False)
+    quad = points.z @ (points.z * inv_noise) - w @ w
+    logdet = (
+        2.0 * np.sum(np.log(np.diag(lm)))
+        - 2.0 * np.sum(np.log(np.diag(lu)))
+        + np.sum(np.log(points.noise_var))
+    )
+    trace_gap = np.sum((kff_diag - qff_diag) * inv_noise)
+    bound = float(
+        -0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi) - 0.5 * trace_gap
+    )
+    return mean, np.maximum(var, 0.0), bound
+
+
+def repeated_site_points(rng, n):
+    """Scattered set on four distinct coordinates, one archetype."""
+    xs = rng.normal(0, 1, 4)
+    site = rng.integers(0, 4, n)
+    return FieldPoints(
+        i=rng.integers(0, max(2, n // 2), n),
+        j=rng.integers(0, 3, n),
+        x=xs[site],
+        y=0.5 * xs[site],
+        archetype=np.ones(n, dtype=int),
+        z=rng.normal(0, 1, n),
+        noise_var=rng.uniform(1e-3, 1.0, n),
     )
 
 
@@ -243,6 +342,57 @@ class TestLogMarginalLikelihood:
         assert log_marginal_likelihood(pts, p) == pytest.approx(expected, abs=1e-9)
         # the posterior carries the same value from its own factorisation
         assert exact_posterior(pts, p).log_evidence == log_marginal_likelihood(pts, p)
+
+
+class TestInPlaceFactor:
+    """The in-place LAPACK solve gives the copy-based solve's values exactly."""
+
+    @pytest.mark.parametrize("kind", ["grid", "shuffled", "repeated"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_copy_based_solve(self, kind, seed):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(5, 120))
+        if kind == "repeated":
+            pts = repeated_site_points(rng, n)
+        else:
+            pts = grid_points(rng, n // 3 + 1)
+            if kind == "shuffled":
+                pts = pts.subset(rng.permutation(len(pts)))
+        p = random_params(rng)
+        lml, mean, var, _ = reference_exact(pts, p)
+        assert log_marginal_likelihood(pts, p) == lml
+        post = exact_posterior(pts, p)
+        assert post.log_evidence == lml
+        assert np.array_equal(post.mean, mean)
+        assert np.array_equal(post.var, var)
+        inducing = _select_inducing(pts, max(1, len(pts) // 4), seed)
+        svgp = sparse_variational_posterior(pts, p, inducing=inducing)
+        s_mean, s_var, bound = reference_sparse(pts, p, inducing)
+        assert np.array_equal(svgp.mean, s_mean)
+        assert np.array_equal(svgp.var, s_var)
+        assert svgp.log_evidence == bound
+
+    def test_forced_jitter_ladder(self):
+        # two copies of one (building, state) point: K is singular, and the
+        # noise (1e-30) is lost against K's 1.5, so rung 0 fails
+        pts = fp(
+            pt(0, 0, 0, 0, z=0.3, noise=1e-30), pt(0, 0, 0, 0, z=0.3, noise=1e-30)
+        )
+        p = CompositeKernelParams(sigma2_global=1.0, alpha_local=0.5)
+        k = kernel_matrix(pts, p)
+        assert dpotrf(k + np.diag(pts.noise_var), lower=1)[1] == 2
+        lml, mean, var, jitter = reference_exact(pts, p)
+        assert jitter == 1e-10
+        assert log_marginal_likelihood(pts, p) == lml
+        post = exact_posterior(pts, p)
+        assert np.array_equal(post.mean, mean)
+        assert np.array_equal(post.var, var)
+
+    def test_nan_kernel_raises_from_lml(self):
+        # ell1**2 underflows to 0, so 0/0 puts NaN on the site diagonal
+        pts = fp(pt(0, 0, 0, 0), pt(1, 0, 1.0, 0.5))
+        with pytest.raises(NumericalFailureError):
+            log_marginal_likelihood(pts, CompositeKernelParams(ell1=1e-200))
 
 
 class TestFitHyperparameters:
@@ -448,6 +598,30 @@ class TestOrdinalityHelpers:
         )
         assert ordinality_violation_count(pts, [0.9, 0.5, 0.2, 0.4]) == 1
         assert ordinality_violation_count(pts, [0.9, 0.5, 0.4, 0.2]) == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_violation_count_matches_per_building_loop(self, seed):
+        def loop_count(points, mean_p):
+            count = 0
+            for i in np.unique(points.i):
+                mask = points.i == i
+                m = np.asarray(mean_p)[mask][np.argsort(points.j[mask])]
+                count += bool(np.any(np.diff(m) > 1e-12))
+            return count
+
+        rng = np.random.default_rng(seed)
+        grid = grid_points(rng, 50, d=4)
+        # buildings with a state missing, and points in no particular order
+        keep = rng.random(len(grid)) < 0.7
+        for pts in (grid, grid.subset(rng.permutation(len(grid))), grid.subset(keep)):
+            for mean_p in (
+                rng.random(len(pts)),
+                np.round(rng.random(len(pts)), 1),  # ties are not rises
+                np.sort(rng.random(len(pts)))[::-1],
+            ):
+                assert ordinality_violation_count(pts, mean_p) == loop_count(
+                    pts, mean_p
+                )
 
 
 class TestCluster:
