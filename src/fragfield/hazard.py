@@ -15,7 +15,6 @@ strictly decreasing across damage states.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -125,25 +124,21 @@ class FragilityTable:
 
     @classmethod
     def from_csv(cls, path) -> "FragilityTable":
+        from .io import _csv_rows  # io imports this module
+
         med: dict = {}
         disp: dict = {}
         state_index = {s: j for j, s in enumerate(STATES)}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"archetype", "state", "median_mps", "dispersion"}
-            missing = required - set(reader.fieldnames or ())
-            if missing:
-                raise InvalidInputError(
-                    f"{path}: missing column(s): {', '.join(sorted(missing))}"
-                )
-            for lineno, rec in enumerate(reader, start=2):
-                try:
-                    arch = int(rec["archetype"])
-                    j = state_index[rec["state"].strip().lower()]
-                    med.setdefault(arch, [None] * len(STATES))[j] = float(rec["median_mps"])
-                    disp.setdefault(arch, [None] * len(STATES))[j] = float(rec["dispersion"])
-                except (KeyError, ValueError) as exc:
-                    raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+        for line, (arch, state, median, dispersion) in _csv_rows(
+            path, ("archetype", "state", "median_mps", "dispersion")
+        ):
+            try:
+                arch = int(arch)
+                j = state_index[state.strip().lower()]
+                med.setdefault(arch, [None] * len(STATES))[j] = float(median)
+                disp.setdefault(arch, [None] * len(STATES))[j] = float(dispersion)
+            except (KeyError, ValueError) as exc:
+                raise InvalidInputError(f"{path}:{line}: {exc}") from exc
         for arch in med:
             if None in med[arch] or None in disp[arch]:
                 raise InvalidInputError(f"{path}: archetype {arch} missing a state row")

@@ -7,6 +7,14 @@ meters rather than lon/lat, collections carry a ``planar_coordinates``
 foreign member set to true.  Configs are single JSON documents with an
 explicit ``schema_version``; unknown keys are rejected with their field
 path.  Run manifests record a content digest for every emitted file.
+
+The field writers format whole columns at once and stay byte-stable: the
+CSV writers spell each float as ``fmt17`` does, and the GeoJSON writer
+writes exactly what ``json.dump(doc, indent=2, sort_keys=True)`` would.
+Every CSV input is read through ``_csv_rows``, which checks the header,
+the field count of each row and the text encoding, so a malformed file
+raises InvalidInputError (CLI exit 2) naming the file and, where there is
+one, the line, rather than a traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,77 +75,146 @@ def fmt17(x) -> str:
     return "%.17g" % float(x)
 
 
+def _fmt17_column(a) -> list:
+    """``fmt17`` over every value of an array, in C order."""
+    return ["%.17g" % v for v in np.ravel(a).tolist()]
+
+
+def _repeat(values, k) -> list:
+    """Each item of ``values`` ``k`` times in a row: per-building to per-cell."""
+    return [v for v in values for _ in range(k)]
+
+
 def write_field_csv(path, fs: FieldState) -> None:
     """One row per (building, state): id, geometry, PN cell, probability moments."""
     m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
+    d = fs.n_states
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_FIELD_COLUMNS)
-        for i, bid in enumerate(fs.ids):
-            for j, state in enumerate(fs.states):
-                writer.writerow(
-                    [
-                        bid,
-                        fmt17(fs.x[i]),
-                        fmt17(fs.y[i]),
-                        int(fs.archetype[i]),
-                        state,
-                        fmt17(fs.mu[i, j]),
-                        fmt17(fs.sigma2[i, j]),
-                        fmt17(m[i, j]),
-                        fmt17(var_p[i, j]),
-                    ]
+        writer.writerows(
+            zip(
+                _repeat(fs.ids, d),
+                _repeat(_fmt17_column(fs.x), d),
+                _repeat(_fmt17_column(fs.y), d),
+                _repeat(fs.archetype.tolist(), d),
+                list(fs.states) * fs.n_buildings,
+                _fmt17_column(fs.mu),
+                _fmt17_column(fs.sigma2),
+                _fmt17_column(m),
+                _fmt17_column(var_p),
+            )
+        )
+
+
+def _csv_rows(path, required, optional=()):
+    """Yield ``(line, values)`` for each data row of a CSV file with a header.
+
+    ``values`` holds the row's fields in the order of ``required`` then
+    ``optional``; an optional column the header lacks reads None.  Blank
+    lines are skipped, as ``csv.DictReader`` skips them.  A missing
+    required column, a row whose field count differs from the header's, a
+    byte the text codec cannot decode and a ``csv.Error`` all raise
+    InvalidInputError naming the file (and the line where there is one).
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            column = {name: k for k, name in enumerate(header)}
+            missing = set(required) - set(column)
+            if missing:
+                raise InvalidInputError(
+                    f"{path}: missing column(s): {', '.join(sorted(missing))}"
                 )
+            width = len(header)
+            # an absent optional column reads the None appended to each row
+            take = itemgetter(*(column.get(name, width) for name in (*required, *optional)))
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise InvalidInputError(
+                        f"{path}:{reader.line_num}: {len(row)} field(s), "
+                        f"the header has {width}"
+                    )
+                row.append(None)
+                yield reader.line_num, take(row)
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _parse_state(state) -> str:
+    state = state.strip().lower()
+    if state not in STATES:
+        raise ValueError(f"unknown state {state!r}")
+    return state
 
 
 def read_field_csv(path) -> FieldState:
-    """Parse a field CSV back into a FieldState (m/var_p columns are ignored)."""
+    """Parse a field CSV back into a FieldState (m/var_p columns are ignored).
+
+    Every building needs exactly one row per state, and all its rows must
+    agree on x, y and archetype.
+    """
     state_index = {s: j for j, s in enumerate(STATES)}
-    rows: dict = {}
-    order: list = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"building_id", "x", "y", "archetype", "state", "mu", "sigma2"}
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise InvalidInputError(
-                f"{path}: missing column(s): {', '.join(sorted(missing))}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                bid = rec["building_id"]
-                j = state_index[rec["state"].strip().lower()]
-                if bid not in rows:
-                    order.append(bid)
-                    rows[bid] = {
-                        "x": float(rec["x"]),
-                        "y": float(rec["y"]),
-                        "archetype": int(rec["archetype"]),
-                        "mu": [None] * len(STATES),
-                        "sigma2": [None] * len(STATES),
-                    }
-                rows[bid]["mu"][j] = float(rec["mu"])
-                rows[bid]["sigma2"][j] = float(rec["sigma2"])
-            except KeyError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: unknown state {exc}") from exc
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
+    d = len(STATES)
+    cells: dict = {}  # building id -> (geometry fields, geometry, mu, sigma2)
+    for line, (bid, x, y, archetype, state, mu, sigma2) in _csv_rows(
+        path, _FIELD_COLUMNS[:7]
+    ):
+        try:
+            j = state_index.get(state)
+            if j is None:
+                j = state_index[_parse_state(state)]
+            raw = (x, y, archetype)
+            rec = cells.get(bid)
+            if rec is None:
+                geometry = (float(x), float(y), int(archetype))
+                rec = cells[bid] = (raw, geometry, [None] * d, [None] * d)
+            elif raw != rec[0] and (float(x), float(y), int(archetype)) != rec[1]:
+                raise ValueError(
+                    f"building {bid!r}: x, y, archetype {', '.join(raw)} differ "
+                    f"from its first row's {', '.join(rec[0])}"
+                )
+            if rec[2][j] is not None:
+                raise ValueError(f"second row for building {bid!r}, state {STATES[j]}")
+            rec[2][j] = float(mu)
+            rec[3][j] = float(sigma2)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{line}: {exc}") from exc
+    if not cells:
         raise InvalidInputError(f"{path}: no field rows")
-    for bid, r in rows.items():
-        if None in r["mu"] or None in r["sigma2"]:
+    for bid, (_, _, mu, sigma2) in cells.items():
+        if None in mu or None in sigma2:
             raise InvalidInputError(f"{path}: building {bid} missing a state row")
+    geometry = [rec[1] for rec in cells.values()]
     try:
         return FieldState(
-            ids=order,
-            x=np.array([rows[b]["x"] for b in order]),
-            y=np.array([rows[b]["y"] for b in order]),
-            archetype=np.array([rows[b]["archetype"] for b in order]),
-            mu=np.array([rows[b]["mu"] for b in order]),
-            sigma2=np.array([rows[b]["sigma2"] for b in order]),
+            ids=list(cells),
+            x=np.array([g[0] for g in geometry]),
+            y=np.array([g[1] for g in geometry]),
+            archetype=np.array([g[2] for g in geometry]),
+            mu=np.array([rec[2] for rec in cells.values()]),
+            sigma2=np.array([rec[3] for rec in cells.values()]),
         )
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
+
+
+# GeoJSON properties per state, besides building_id and archetype
+_GEO_QUANTITIES = ("m", "var_p", "mu", "sigma2")
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(a) -> list:
+    """json's spelling of every float of an array, in C order."""
+    out = list(map(float.__repr__, np.ravel(a).tolist()))
+    if not np.all(np.isfinite(a)):
+        out = [_JSON_NONFINITE.get(v, v) for v in out]
+    return out
 
 
 def write_field_geojson(path, fs: FieldState) -> None:
@@ -143,35 +222,44 @@ def write_field_geojson(path, fs: FieldState) -> None:
 
     Coordinates are planar meters, not lon/lat, which RFC 7946 reserves;
     the collection carries ``planar_coordinates: true`` as a foreign member
-    to make that explicit.
+    to make that explicit.  The bytes are those of ``json.dump(doc, fh,
+    indent=2, sort_keys=True)`` plus a newline; each feature is written
+    from one template, so no document is built in memory.
     """
     m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
-    features = []
-    for i, bid in enumerate(fs.ids):
-        props = {"building_id": bid, "archetype": int(fs.archetype[i])}
-        for j, state in enumerate(fs.states):
-            props[f"m_{state}"] = float(m[i, j])
-            props[f"var_p_{state}"] = float(var_p[i, j])
-            props[f"mu_{state}"] = float(fs.mu[i, j])
-            props[f"sigma2_{state}"] = float(fs.sigma2[i, j])
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [float(fs.x[i]), float(fs.y[i])],
-                },
-                "properties": props,
-            }
-        )
-    doc = {
-        "type": "FeatureCollection",
-        "planar_coordinates": True,
-        "features": features,
+    props = {
+        "building_id": list(map(encode_basestring_ascii, fs.ids)),
+        "archetype": list(map(int.__repr__, fs.archetype.tolist())),
     }
+    for q, values in zip(_GEO_QUANTITIES, (m, var_p, fs.mu, fs.sigma2)):
+        for j, state in enumerate(fs.states):
+            props[f"{q}_{state}"] = _json_floats(values[:, j])
+    keys = sorted(props)
+    feature = "\n".join(
+        [
+            "    {",
+            '      "geometry": {',
+            '        "coordinates": [',
+            "          %s,",
+            "          %s",
+            "        ],",
+            '        "type": "Point"',
+            "      },",
+            '      "properties": {',
+            ",\n".join(f"        {encode_basestring_ascii(k)}: %s" for k in keys),
+            "      },",
+            '      "type": "Feature"',
+            "    }",
+        ]
+    )
+    rows = zip(_json_floats(fs.x), _json_floats(fs.y), *(props[k] for k in keys))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "features": [')
+        if fs.n_buildings:
+            fh.write("\n" + feature % next(rows))
+            fh.writelines(",\n" + feature % row for row in rows)
+            fh.write("\n  ")
+        fh.write('],\n  "planar_coordinates": true,\n  "type": "FeatureCollection"\n}\n')
 
 
 _METRICS_COLUMNS = (
@@ -242,36 +330,26 @@ def write_gp_field_csv(path, fs: FieldState) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["building_id", "state", "m", "var_p"])
-        for i, bid in enumerate(fs.ids):
-            for j, state in enumerate(fs.states):
-                writer.writerow(
-                    [bid, state, fmt17(fs.gp_mean_p[i, j]), fmt17(fs.gp_var_p[i, j])]
-                )
+        writer.writerows(
+            zip(
+                _repeat(fs.ids, fs.n_states),
+                list(fs.states) * fs.n_buildings,
+                _fmt17_column(fs.gp_mean_p),
+                _fmt17_column(fs.gp_var_p),
+            )
+        )
 
 
 def read_inventory_csv(path):
     """Buildings from CSV columns building_id, x, y, archetype."""
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"building_id", "x", "y", "archetype"}
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise InvalidInputError(
-                f"{path}: missing column(s): {', '.join(sorted(missing))}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                out.append(
-                    Building(
-                        id=rec["building_id"],
-                        x=float(rec["x"]),
-                        y=float(rec["y"]),
-                        archetype=int(rec["archetype"]),
-                    )
-                )
-            except (ValueError, InvalidInputError) as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+    for line, (bid, x, y, archetype) in _csv_rows(
+        path, ("building_id", "x", "y", "archetype")
+    ):
+        try:
+            out.append(Building(id=bid, x=float(x), y=float(y), archetype=int(archetype)))
+        except (ValueError, InvalidInputError) as exc:
+            raise InvalidInputError(f"{path}:{line}: {exc}") from exc
     if not out:
         raise InvalidInputError(f"{path}: no inventory rows")
     return out
@@ -284,64 +362,39 @@ def read_observations_csv(path):
     source column defaults to "src1" when absent.
     """
     out = []
-    state_set = set(STATES)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = set(reader.fieldnames or ())
-        required = {"building_id", "state", "y"}
-        missing = required - fields
-        if missing:
-            raise InvalidInputError(
-                f"{path}: missing column(s): {', '.join(sorted(missing))}"
-            )
-        has_source = "source" in fields
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                state = rec["state"].strip().lower()
-                if state not in state_set:
-                    raise ValueError(f"unknown state {state!r}")
-                y = float(rec["y"])
-                if not 0.0 <= y <= 1.0:
-                    raise ValueError(f"y={y} outside [0, 1]")
-                out.append(
-                    {
-                        "building_id": rec["building_id"],
-                        "state": state,
-                        "y": y,
-                        "source": rec["source"] if has_source else "src1",
-                    }
-                )
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+    for line, (bid, state, y, source) in _csv_rows(
+        path, ("building_id", "state", "y"), ("source",)
+    ):
+        try:
+            state = _parse_state(state)
+            y = float(y)
+            if not 0.0 <= y <= 1.0:
+                raise ValueError(f"y={y} outside [0, 1]")
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{line}: {exc}") from exc
+        out.append(
+            {
+                "building_id": bid,
+                "state": state,
+                "y": y,
+                "source": "src1" if source is None else source,
+            }
+        )
     return out
 
 
 def read_weights_csv(path):
     """Source reliability weights: state, weight[, source] -> {(source, state): w}."""
     out = {}
-    state_set = set(STATES)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = set(reader.fieldnames or ())
-        required = {"state", "weight"}
-        missing = required - fields
-        if missing:
-            raise InvalidInputError(
-                f"{path}: missing column(s): {', '.join(sorted(missing))}"
-            )
-        has_source = "source" in fields
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                state = rec["state"].strip().lower()
-                if state not in state_set:
-                    raise ValueError(f"unknown state {state!r}")
-                w = float(rec["weight"])
-                if w < 0:
-                    raise ValueError(f"weight={w} must be >= 0")
-                source = rec["source"] if has_source else "src1"
-                out[(source, state)] = w
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+    for line, (state, weight, source) in _csv_rows(path, ("state", "weight"), ("source",)):
+        try:
+            state = _parse_state(state)
+            w = float(weight)
+            if w < 0:
+                raise ValueError(f"weight={w} must be >= 0")
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{line}: {exc}") from exc
+        out[("src1" if source is None else source, state)] = w
     if not out:
         raise InvalidInputError(f"{path}: no weight rows")
     return out
@@ -354,6 +407,8 @@ def load_config(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     version = doc.get("schema_version")

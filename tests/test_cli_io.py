@@ -1,6 +1,8 @@
 """Tests for file formats and the command-line interface."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fragfield.cli import main, scenario_from_dict
@@ -33,8 +35,10 @@ from fragfield.io import (
     sha256_file,
     write_field_csv,
     write_field_geojson,
+    write_gp_field_csv,
     write_manifest,
 )
+from fragfield.probit_normal import pn_moments_vec
 
 
 def _toy_field(n=3):
@@ -231,6 +235,165 @@ class TestManifest:
             {"path": "x.bin", "sha256": sha256_file(payload)}
         ]
         assert doc["seed"] == 1
+
+
+# ---------------------------------------------------------------- byte-stable writers
+#
+# The field writers format whole columns at once and stream a GeoJSON
+# template; the per-row writers below are the straightforward versions they
+# replaced, kept as the reference their bytes must match.
+
+
+def _ref_write_field_csv(path, fs):
+    m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["building_id", "x", "y", "archetype", "state", "mu", "sigma2", "m", "var_p"]
+        )
+        for i, bid in enumerate(fs.ids):
+            for j, state in enumerate(fs.states):
+                writer.writerow(
+                    [
+                        bid,
+                        fmt17(fs.x[i]),
+                        fmt17(fs.y[i]),
+                        int(fs.archetype[i]),
+                        state,
+                        fmt17(fs.mu[i, j]),
+                        fmt17(fs.sigma2[i, j]),
+                        fmt17(m[i, j]),
+                        fmt17(var_p[i, j]),
+                    ]
+                )
+
+
+def _ref_write_field_geojson(path, fs):
+    m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
+    features = []
+    for i, bid in enumerate(fs.ids):
+        props = {"building_id": bid, "archetype": int(fs.archetype[i])}
+        for j, state in enumerate(fs.states):
+            props[f"m_{state}"] = float(m[i, j])
+            props[f"var_p_{state}"] = float(var_p[i, j])
+            props[f"mu_{state}"] = float(fs.mu[i, j])
+            props[f"sigma2_{state}"] = float(fs.sigma2[i, j])
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {
+                    "type": "Point",
+                    "coordinates": [float(fs.x[i]), float(fs.y[i])],
+                },
+                "properties": props,
+            }
+        )
+    doc = {"type": "FeatureCollection", "planar_coordinates": True, "features": features}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _ref_write_gp_field_csv(path, fs):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["building_id", "state", "m", "var_p"])
+        for i, bid in enumerate(fs.ids):
+            for j, state in enumerate(fs.states):
+                writer.writerow(
+                    [bid, state, fmt17(fs.gp_mean_p[i, j]), fmt17(fs.gp_var_p[i, j])]
+                )
+
+
+# ids a CSV writer must quote (a comma, a quote), a backslash that JSON
+# escapes, non-ASCII text, and padding that a reader must keep
+_AWKWARD_IDS = ["a,b", 'say "hi"', "back\\slash", "Zürich-7 ☂", "  padded  "]
+
+
+def _with_gp(fs):
+    rng = np.random.default_rng(9)
+    fs.gp_mean_p = rng.uniform(0, 1, fs.mu.shape)
+    fs.gp_var_p = rng.uniform(0, 0.25, fs.mu.shape)
+    return fs
+
+
+def _awkward_field():
+    fs = _with_gp(_toy_field(len(_AWKWARD_IDS)))
+    fs.ids = list(_AWKWARD_IDS)
+    fs.x[:3] = [-0.0, 1e308, 5e-324]
+    fs.y[:3] = [0.1, -0.0, -1e308]
+    fs.mu[0] = [0.1, 0.0, -0.1]
+    fs.mu[1] = [-0.0, -0.0, -0.0]
+    fs.sigma2[2] = [5e-324, 0.0, 1e308]
+    fs.gp_mean_p[0] = [0.1, 5e-324, -0.0]
+    fs.gp_var_p[0] = [1e308, 0.0, 0.1]
+    return fs
+
+
+def _one_building_field():
+    return _with_gp(_toy_field(1))
+
+
+def _empty_field():
+    empty = np.zeros((0, len(STATES)))
+    return FieldState(
+        ids=[], x=[], y=[], archetype=[], mu=empty, sigma2=empty,
+        gp_mean_p=empty, gp_var_p=empty,
+    )
+
+
+def _non_finite_geometry_field():
+    # FieldState checks finiteness when it is built, not when a caller
+    # assigns to its arrays later; json spells these NaN and Infinity
+    fs = _one_building_field()
+    fs.x[0] = math.nan
+    fs.y[0] = -math.inf
+    return fs
+
+
+_BYTE_CASES = {
+    "awkward": _awkward_field,
+    "one_building": _one_building_field,
+    "toy": lambda: _with_gp(_toy_field(40)),
+    "empty": _empty_field,
+    "non_finite_xy": _non_finite_geometry_field,
+}
+
+
+class TestWritersByteIdentical:
+    @pytest.mark.parametrize("case", sorted(_BYTE_CASES))
+    @pytest.mark.parametrize(
+        "write, reference",
+        [
+            (write_field_csv, _ref_write_field_csv),
+            (write_field_geojson, _ref_write_field_geojson),
+            (write_gp_field_csv, _ref_write_gp_field_csv),
+        ],
+        ids=["field_csv", "field_geojson", "gp_field_csv"],
+    )
+    def test_same_bytes_as_reference(self, tmp_path, case, write, reference):
+        fs = _BYTE_CASES[case]()
+        write(tmp_path / "new", fs)
+        reference(tmp_path / "ref", fs)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    def test_geojson_parses_back(self, tmp_path):
+        fs = _awkward_field()
+        write_field_geojson(tmp_path / "f.geojson", fs)
+        doc = json.loads((tmp_path / "f.geojson").read_text())
+        assert [f["properties"]["building_id"] for f in doc["features"]] == _AWKWARD_IDS
+        assert doc["features"][1]["geometry"]["coordinates"] == [1e308, -0.0]
+
+    @pytest.mark.parametrize("case", ["awkward", "one_building"])
+    def test_field_csv_round_trip_exact(self, tmp_path, case):
+        fs = _BYTE_CASES[case]()
+        path = tmp_path / "f.csv"
+        write_field_csv(path, fs)
+        back = read_field_csv(path)
+        assert back.ids == fs.ids
+        for name in ("x", "y", "archetype", "mu", "sigma2"):
+            # tobytes also tells -0.0 from 0.0
+            assert getattr(back, name).tobytes() == getattr(fs, name).tobytes(), name
 
 
 # ---------------------------------------------------------------- CLI fixtures
@@ -470,6 +633,182 @@ class TestCmdUpdate:
         code = main(["update", "--config", str(cfg), "--out", str(out), "--dry-run"])
         assert code == 0
         assert not out.exists()
+
+
+# ---------------------------------------------------------------- malformed input
+#
+# Every bad input file exits 2 with "error: <file>..." on stderr, in a
+# dry run and in a real one, and leaves no output directory behind.
+
+
+def _cut_to_first_field(path):
+    """Cut the first data row down to its first field."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].split(b",")[0] + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
+def _insert_non_utf8(path):
+    """Put a byte that is not UTF-8 into the first data row (or the JSON)."""
+    data = path.read_bytes()
+    at = data.index(b"\n") + 2 if path.suffix == ".csv" else 1
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+
+
+def _oversized_field(path):
+    """A row whose first field is longer than the csv module's field limit."""
+    with open(path, "a") as fh:
+        fh.write("x" * (csv.field_size_limit() + 1) + "\n")
+
+
+_FAULTS = {
+    "short_row": (_cut_to_first_field, ":2: 1 field(s)"),
+    "non_utf8": (_insert_non_utf8, "not utf-8 text"),
+    "oversized_field": (_oversized_field, "field larger than field limit"),
+}
+
+
+def _prior_fixture_with_table(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "archetype,state,median_mps,dispersion\n"
+        + "".join(f"{a},{s},{40 + 10 * j},0.2\n" for a in (1, 7, 12)
+                  for j, s in enumerate(STATES))
+    )
+    return _prior_config(tmp_path, extra={"table": "table.csv"})
+
+
+def _update_with_one_observation(tmp_path):
+    return _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])[0]
+
+
+_TARGETS = {
+    # name: (command, fixture -> config path, file to corrupt)
+    "field": ("update", _update_with_one_observation, "field_in.csv"),
+    "observations": ("update", _update_with_one_observation, "obs.csv"),
+    "weights": ("update", _update_with_one_observation, "weights.csv"),
+    "update_config": ("update", _update_with_one_observation, "update.json"),
+    "inventory": ("prior", _prior_config, "inventory.csv"),
+    "table": ("prior", _prior_fixture_with_table, "table.csv"),
+    "prior_config": ("prior", _prior_config, "prior.json"),
+}
+
+_FAULT_CASES = [
+    (target, fault)
+    for target in _TARGETS
+    for fault in _FAULTS
+    if not (target.endswith("config") and fault != "non_utf8")
+]
+
+
+class TestMalformedInputExit2:
+    @pytest.mark.parametrize(
+        "target, fault", _FAULT_CASES, ids=[f"{t}-{f}" for t, f in _FAULT_CASES]
+    )
+    def test_exit_2_without_output(self, tmp_path, capsys, target, fault):
+        command, fixture, name = _TARGETS[target]
+        cfg = fixture(tmp_path)
+        corrupt, message = _FAULTS[fault]
+        corrupt(tmp_path / name)
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main([command, "--config", str(cfg), "--out", str(out)] + dry) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {tmp_path / name}"), err
+            assert message in err
+        assert not out.exists()
+
+    def test_load_config_non_utf8_is_config_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"schema_version": 1, "mode": "loc\xffal"}')
+        with pytest.raises(ConfigError, match="not utf-8 text"):
+            load_config(path)
+
+
+def _edit_field_row(path, line, **changes):
+    """Rewrite one data row of a field CSV (``line`` counts the header as 1)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[line - 2].update(changes)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+class TestFieldRowsAgree:
+    def _run_both(self, cfg, out, capsys):
+        errs = []
+        for dry in (["--dry-run"], []):
+            assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            errs.append(capsys.readouterr().err)
+        assert not out.exists()
+        return errs
+
+    def test_duplicate_state_row_exit_2(self, tmp_path, capsys):
+        cfg, field_in = _update_fixture(tmp_path, obs_rows=[["b1", "moderate", 1.0]])
+        with open(field_in, newline="") as fh:
+            rows = list(csv.reader(fh))
+        dup = list(rows[1])  # b0, moderate
+        dup[5] = "9.5"
+        with open(field_in, "a", newline="") as fh:
+            csv.writer(fh).writerow(dup)
+        for err in self._run_both(cfg, tmp_path / "out", capsys):
+            assert f"field_in.csv:{len(rows) + 1}: second row for building 'b0'" in err
+
+    @pytest.mark.parametrize(
+        "column, value", [("x", "1.5"), ("y", "-2"), ("archetype", "3")]
+    )
+    def test_geometry_differs_between_rows_exit_2(
+        self, tmp_path, capsys, column, value
+    ):
+        cfg, field_in = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])
+        _edit_field_row(field_in, 6, **{column: value})  # b1, extensive
+        for err in self._run_both(cfg, tmp_path / "out", capsys):
+            assert "field_in.csv:6: building 'b1'" in err
+            assert "differ from its first row" in err
+
+    def test_geometry_spelled_differently_same_value_accepted(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(
+            "building_id,x,y,archetype,state,mu,sigma2\n"
+            "b0,5,-0.5,3,moderate,0,1\n"
+            "b0,5.0,-5e-1,03,extensive,-1,1\n"
+            "b0,5e0,-0.50,3,complete,-2,1\n"
+        )
+        fs = read_field_csv(path)
+        assert (fs.x[0], fs.y[0], fs.archetype[0]) == (5.0, -0.5, 3)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    name=st.sampled_from(["field_in.csv", "obs.csv"]),
+    insert=st.booleans(),
+    byte=st.integers(0, 255),
+    data=st.data(),
+)
+def test_update_dry_run_contract_fuzz(tmp_path, name, insert, byte, data):
+    """A cut or one stray byte in an input: exit 0 or 2, never a traceback."""
+    cfg, _ = _update_fixture(
+        tmp_path, obs_rows=[["b0", "moderate", 0.9], ["b2", "complete", 0.1]]
+    )
+    path = tmp_path / name
+    raw = path.read_bytes()
+    at = data.draw(st.integers(0, len(raw)), label="at")
+    path.write_bytes(raw[:at] + bytes([byte]) + raw[at:] if insert else raw[:at])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["update", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--dry-run"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    assert not (tmp_path / "o").exists()
 
 
 def _experiment_config(tmp_path, seed=7):
