@@ -10,8 +10,9 @@ surrogate in closed form (alpha' = alpha + sum w*y, gamma' = gamma +
 sum w*(1-y)), and the posterior moments are mapped back to a PN marginal.
 Chaining the cycle over batches is algebraically identical to accumulating
 (alpha, gamma) once.  Neither the experiment runner nor ``fragfield update``
-relies on that: the runner gives each cell its single observation in one
-cycle, and ``update`` folds all of one call's observations of a cell into
+relies on that: both hand their cells to ``update_cells``, which runs one
+cycle per cell.  The runner gives each cell its single observation of a
+batch, and ``update`` folds all of one call's observations of a cell into
 one cycle.
 
 kl_pn_beta quantifies the information loss of the surrogate swap by direct
@@ -50,6 +51,7 @@ __all__ = [
     "conjugate_update",
     "beta_moments",
     "local_update_cycle",
+    "update_cells",
     "kl_pn_beta",
     "ZETA_FLOOR",
 ]
@@ -141,6 +143,19 @@ def local_update_cycle(
     surrogate = beta_from_pn_moments(PnMoments(mo.m, zeta))
     posterior = conjugate_update(surrogate, batch)
     return pn_from_moments(beta_moments(posterior))
+
+
+def update_cells(mu, sigma2, cells) -> None:
+    """Run ``local_update_cycle`` on each cell of a field, in place.
+
+    ``mu`` and ``sigma2`` are the field's (n_buildings, n_states) arrays and
+    ``cells`` yields ``((i, j), observations)`` pairs.  Each cell is updated
+    on its own, so the order of the cells does not change the result.
+    """
+    for (i, j), batch in cells:
+        post = local_update_cycle(PnMarginal(mu=mu[i, j], sigma2=sigma2[i, j]), batch)
+        mu[i, j] = post.mu
+        sigma2[i, j] = post.sigma2
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

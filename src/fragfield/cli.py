@@ -13,6 +13,7 @@ configs and seeds reproduce bit-identical outputs across platforms.
 from __future__ import annotations
 
 import argparse
+import math
 import numbers
 import os
 import sys
@@ -21,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .beta_bridge import WeightedObservation, local_update_cycle
+from .beta_bridge import WeightedObservation, update_cells
 from .errors import ConfigError, InvalidInputError, NumericalFailureError
 from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
 from .field_state import STATES
@@ -51,7 +52,6 @@ from .io import (
     write_trajectory_csv,
     write_update_trajectory_csv,
 )
-from .probit_normal import PnMarginal
 
 _TRACK_KEYS = {
     "centerline",
@@ -103,6 +103,18 @@ def cmd_prior(config_path, out_dir, seed, dry_run) -> int:
     for key in ("inventory", "track"):
         if key not in doc:
             raise ConfigError(f"missing required config key: {key}")
+    kwargs = {
+        k: doc[k]
+        for k in ("eps_hazard", "eps_capacity", "clip_bound", "separation", "wind_floor")
+        if k in doc
+    }
+    for key, value in kwargs.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
     inventory = read_inventory_csv(_resolve(doc["inventory"], config_path))
     track = _track_from_dict(doc["track"])
     table = (
@@ -110,11 +122,6 @@ def cmd_prior(config_path, out_dir, seed, dry_run) -> int:
         if "table" in doc
         else FragilityTable.default()
     )
-    kwargs = {
-        k: doc[k]
-        for k in ("eps_hazard", "eps_capacity", "clip_bound", "separation", "wind_floor")
-        if k in doc
-    }
     fs = build_prior_field(inventory, track, table, **kwargs)
     if dry_run:
         return 0
@@ -211,10 +218,7 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     if dry_run:
         return 0
 
-    for (i, j), batch in sorted(grouped.items()):
-        post = local_update_cycle(PnMarginal(mu=fs.mu[i, j], sigma2=fs.sigma2[i, j]), batch)
-        fs.mu[i, j] = post.mu
-        fs.sigma2[i, j] = post.sigma2
+    update_cells(fs.mu, fs.sigma2, grouped.items())
 
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(

@@ -9,11 +9,13 @@ to an epistemic weight
     w = -2 * log2(1 - F1),
 
 so every +2 units of weight halves the remaining prediction error.
+``calibrate_weights`` does both for one source.  The experiment runner calls
+it on its simulated calibration draws; ``fragfield update`` reads ready-made
+weights from its ``weights.csv`` and scores no calibration set itself.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,7 +32,6 @@ __all__ = [
     "soft_f1",
     "weight_from_f1",
     "calibrate_weights",
-    "read_calibration_samples",
     "DEFAULT_W_MAX",
 ]
 
@@ -62,16 +63,21 @@ class EvaluationSample:
 
 
 def exceedance_from_categorical(pred) -> np.ndarray:
-    """Cumulative upper-tail aggregation of categorical state masses."""
+    """Cumulative upper-tail aggregation of categorical state masses.
+
+    ``pred`` is one vector of state masses or an (n, k) array of them, one
+    per row; the checks apply to every row and the sum runs along the last
+    axis.
+    """
     s = np.asarray(pred, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise InvalidInputError("expected a 1-D vector of state probabilities")
+    if s.ndim not in (1, 2) or s.size == 0:
+        raise InvalidInputError("expected a vector or an (n, k) array of state masses")
     if np.any(s < -_SUM_TOL) or np.any(s > 1.0 + _SUM_TOL):
         raise InvalidInputError("state probabilities must lie in [0, 1]")
-    total = float(s.sum())
-    if total > 1.0 + _SUM_TOL:
-        raise InvalidInputError(f"state probabilities sum to {total} > 1")
-    y = np.cumsum(s[::-1])[::-1]
+    total = s.sum(axis=-1)
+    if np.any(total > 1.0 + _SUM_TOL):
+        raise InvalidInputError(f"state probabilities sum to {np.max(total)} > 1")
+    y = np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
     return np.clip(y, 0.0, 1.0)
 
 
@@ -120,40 +126,17 @@ def weight_from_f1(f1: float, w_max: float = DEFAULT_W_MAX) -> float:
 
 
 def calibrate_weights(
-    samples: Sequence[EvaluationSample], w_max: float = DEFAULT_W_MAX
-) -> np.ndarray:
-    """Per-state reliability weights of one source from its calibration set."""
+    samples: Sequence[EvaluationSample], w_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state (weights, F1) of one source from its calibration set.
+
+    F1 is the soft F1 of each exceedance threshold, and each weight is
+    ``weight_from_f1(F1, w_max)``; both are arrays of one entry per state.
+    """
     samples = list(samples)
     if not samples:
         raise InvalidInputError("empty calibration set")
     n_states = len(samples[0].o)
-    out = np.empty(n_states)
-    for j in range(n_states):
-        f1 = soft_f1(*soft_confusion(samples, j))
-        out[j] = weight_from_f1(f1, w_max=w_max)
-    return out
-
-
-_CAL_COLUMNS = ("sample_id", "o_mod", "o_ext", "o_comp", "g_mod", "g_ext", "g_comp")
-
-
-def read_calibration_samples(path) -> list[EvaluationSample]:
-    """Load calibration samples from CSV (see _CAL_COLUMNS for the schema)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _CAL_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InvalidInputError(
-                f"{path}: missing calibration column(s): {', '.join(missing)}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                o = tuple(float(rec[c]) for c in ("o_mod", "o_ext", "o_comp"))
-                g = tuple(float(rec[c]) for c in ("g_mod", "g_ext", "g_comp"))
-                rows.append(EvaluationSample(o=o, g=g))
-            except (TypeError, ValueError, InvalidInputError) as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise InvalidInputError(f"{path}: no calibration samples found")
-    return rows
+    f1 = np.array([soft_f1(*soft_confusion(samples, j)) for j in range(n_states)])
+    weights = np.array([weight_from_f1(f, w_max=w_max) for f in f1])
+    return weights, f1

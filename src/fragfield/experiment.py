@@ -30,16 +30,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beta_bridge import WeightedObservation, local_update_cycle
+from .beta_bridge import WeightedObservation, update_cells
 from .cluster import balanced_kmeans
 from .errors import InvalidInputError
 from .evidence import (
     DEFAULT_W_MAX,
     EvaluationSample,
+    calibrate_weights,
     exceedance_from_categorical,
-    soft_confusion,
-    soft_f1,
-    weight_from_f1,
 )
 from .field_state import STATES, FieldState
 from .gp_field import (
@@ -52,7 +50,7 @@ from .gp_field import (
     posterior_to_probability,
 )
 from .hazard import Building, FragilityTable, TornadoTrack, build_prior_field, wind_speeds, distances_to_centerline
-from .probit_normal import PnMarginal, pn_moments_vec
+from .probit_normal import pn_moments_vec
 
 __all__ = [
     "ObserverModel",
@@ -95,8 +93,15 @@ class ObserverModel:
             raise InvalidInputError("concentration must be positive or None")
         if not 0 <= self.spread < 1:
             raise InvalidInputError("spread must be in [0, 1)")
-        if self.calibration_size < 1:
-            raise InvalidInputError("calibration_size must be >= 1")
+        size, w_max = self.calibration_size, self.w_max
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+            raise InvalidInputError(
+                f"calibration_size must be an integer >= 1, got {size!r}"
+            )
+        if isinstance(w_max, bool) or not isinstance(w_max, numbers.Real) or not (
+            0 < w_max < math.inf
+        ):
+            raise InvalidInputError(f"w_max must be a finite number > 0, got {w_max!r}")
 
 
 @dataclass(frozen=True)
@@ -280,9 +285,7 @@ def soft_exceedance(soft: np.ndarray) -> np.ndarray:
     The "none" column is dropped; exceedance of state j is the upper-tail
     mass over classes >= j.
     """
-    return np.stack(
-        [exceedance_from_categorical(row[1:]) for row in soft], axis=0
-    )
+    return exceedance_from_categorical(soft[:, 1:])
 
 
 def hard_exceedance(true_classes: np.ndarray) -> np.ndarray:
@@ -302,15 +305,9 @@ def calibrate_observer(inventory, true_classes, observer: ObserverModel, rng):
     idx = rng.choice(n, size=size, replace=False)
     soft_cal = simulate_observer(true_classes[idx], observer, rng)
     hard = hard_exceedance(true_classes[idx])
-    samples = [
-        EvaluationSample(
-            o=tuple(hard[k]), g=tuple(exceedance_from_categorical(soft_cal[k, 1:]))
-        )
-        for k in range(size)
-    ]
-    f1 = np.array([soft_f1(*soft_confusion(samples, j)) for j in range(len(STATES))])
-    weights = np.array([weight_from_f1(f, w_max=observer.w_max) for f in f1])
-    return weights, f1
+    g = exceedance_from_categorical(soft_cal[:, 1:])
+    samples = [EvaluationSample(o=tuple(hard[k]), g=tuple(g[k])) for k in range(size)]
+    return calibrate_weights(samples, observer.w_max)
 
 
 def make_batches(observed_ids, strategy: str, n_batches: int, seed, coords=None):
@@ -378,18 +375,6 @@ def _metrics_for(
                 )
             )
     return out
-
-
-def _apply_batch(fs: FieldState, rows, y_obs, weights) -> FieldState:
-    """Conjugate-update the PN cells of the given building rows in place."""
-    for r in rows:
-        for j in range(fs.n_states):
-            prior = PnMarginal(mu=fs.mu[r, j], sigma2=fs.sigma2[r, j])
-            obs = [WeightedObservation(y=float(y_obs[r, j]), weight=float(weights[j]))]
-            post = local_update_cycle(prior, obs)
-            fs.mu[r, j] = post.mu
-            fs.sigma2[r, j] = post.sigma2
-    return fs
 
 
 def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
@@ -552,9 +537,16 @@ def _run_single(
         )
 
     evaluate(0)
-    for step, batch in enumerate(batches, start=1):
-        _apply_batch(fs, batch, y_obs, weights)
+    # each batch, then the holdout, gives every state of its rows one observation
+    for step, rows in enumerate([*batches, holdout_rows], start=1):
+        update_cells(
+            fs.mu,
+            fs.sigma2,
+            (
+                ((r, j), [WeightedObservation(y=float(y_obs[r, j]), weight=float(w))])
+                for r in rows
+                for j, w in enumerate(weights)
+            ),
+        )
         evaluate(step)
-    _apply_batch(fs, holdout_rows, y_obs, weights)
-    evaluate(len(batches) + 1)
     return metrics, trajectory, violations, fs

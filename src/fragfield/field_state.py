@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .probit_normal import pn_moments_vec
 
 STATES = ("moderate", "extensive", "complete")
 
@@ -60,10 +59,6 @@ class FieldState:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def moments(self):
-        """(m, zeta) arrays of shape (n_buildings, n_states)."""
-        return pn_moments_vec(self.mu, self.sigma2)
 
     def copy(self) -> "FieldState":
         return replace(

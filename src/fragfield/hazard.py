@@ -29,7 +29,6 @@ __all__ = [
     "Building",
     "TornadoTrack",
     "FragilityTable",
-    "distance_to_centerline",
     "distances_to_centerline",
     "wind_speed",
     "wind_speeds",
@@ -175,10 +174,6 @@ def distances_to_centerline(x, y, track: TornadoTrack) -> np.ndarray:
     for (ax, ay), (bx, by) in zip(pts, pts[1:]):
         best = np.minimum(best, _segment_distance(x, y, ax, ay, bx, by))
     return best
-
-
-def distance_to_centerline(p, track: TornadoTrack) -> float:
-    return float(distances_to_centerline([p[0]], [p[1]], track)[0])
 
 
 def wind_speeds(r, track: TornadoTrack) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -341,12 +342,18 @@ def write_gp_field_csv(path, fs: FieldState) -> None:
 
 
 def read_inventory_csv(path):
-    """Buildings from CSV columns building_id, x, y, archetype."""
+    """Buildings from CSV columns building_id, x, y, archetype; ids are unique."""
     out = []
+    first_line = {}
     for line, (bid, x, y, archetype) in _csv_rows(
         path, ("building_id", "x", "y", "archetype")
     ):
         try:
+            if bid in first_line:
+                raise ValueError(
+                    f"second row for building {bid!r} (first at line {first_line[bid]})"
+                )
+            first_line[bid] = line
             out.append(Building(id=bid, x=float(x), y=float(y), archetype=int(archetype)))
         except (ValueError, InvalidInputError) as exc:
             raise InvalidInputError(f"{path}:{line}: {exc}") from exc
@@ -388,13 +395,15 @@ def read_weights_csv(path):
     out = {}
     for line, (state, weight, source) in _csv_rows(path, ("state", "weight"), ("source",)):
         try:
-            state = _parse_state(state)
+            key = ("src1" if source is None else source, _parse_state(state))
             w = float(weight)
-            if w < 0:
-                raise ValueError(f"weight={w} must be >= 0")
+            if w < 0 or not math.isfinite(w):
+                raise ValueError(f"weight={w} must be finite and >= 0")
+            if key in out:
+                raise ValueError(f"second weight for source {key[0]!r}, state {key[1]}")
         except ValueError as exc:
             raise InvalidInputError(f"{path}:{line}: {exc}") from exc
-        out[("src1" if source is None else source, state)] = w
+        out[key] = w
     if not out:
         raise InvalidInputError(f"{path}: no weight rows")
     return out

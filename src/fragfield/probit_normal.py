@@ -45,8 +45,6 @@ __all__ = [
     "CapacityLaw",
     "PnMarginal",
     "PnMoments",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "bivariate_equal_cdf",
     "pn_moments",
     "pn_moments_vec",
@@ -124,20 +122,6 @@ class PnMoments:
 
     def __post_init__(self):
         _coerce_floats(self, "m", "zeta")
-
-
-def std_normal_cdf(x):
-    """Phi(x); accepts scalars or arrays."""
-    return ndtr(x)
-
-
-def std_normal_quantile(p):
-    """Phi^{-1}(p) for 0 < p < 1."""
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("quantile defined only on the open interval (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
 # 64-node Gauss-Legendre rule: the integrand u -> exp(-h^2/(1+sin u)) is

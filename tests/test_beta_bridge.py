@@ -16,6 +16,7 @@ from fragfield.beta_bridge import (
     conjugate_update,
     kl_pn_beta,
     local_update_cycle,
+    update_cells,
 )
 from fragfield.errors import DegenerateSurrogateError, InfeasibleMomentsError
 from fragfield.probit_normal import PnMarginal, PnMoments, pn_moments
@@ -191,6 +192,27 @@ class TestLocalUpdateCycle:
         prior = PnMarginal(0.5, 2.0)
         post = local_update_cycle(prior, [obs(0.9, 50.0)])
         assert pn_moments(post).zeta < pn_moments(prior).zeta
+
+
+class TestUpdateCells:
+    def test_shuffled_cells_equal_cell_by_cell_cycles(self):
+        rng = np.random.default_rng(31)
+        mu = rng.normal(-1.0, 1.5, (40, 3))
+        sigma2 = rng.uniform(0.0, 3.0, (40, 3))
+        cells = [
+            ((i, j), [obs(y, w) for y, w in zip(rng.uniform(0, 1, k), rng.uniform(0, 8, k))])
+            for i in range(40)
+            for j in range(3)
+            for k in [rng.integers(0, 4)]
+        ]
+        expected_mu, expected_sigma2 = mu.copy(), sigma2.copy()
+        for (i, j), batch in cells:
+            post = local_update_cycle(PnMarginal(mu[i, j], sigma2[i, j]), batch)
+            expected_mu[i, j], expected_sigma2[i, j] = post.mu, post.sigma2
+        order = rng.permutation(len(cells))
+        update_cells(mu, sigma2, (cells[k] for k in order))
+        assert np.array_equal(mu, expected_mu)
+        assert np.array_equal(sigma2, expected_sigma2)
 
 
 def _kl_on_unit_interval(p, b, direction):

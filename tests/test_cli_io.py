@@ -188,6 +188,15 @@ class TestReaders:
         with pytest.raises(InvalidInputError, match=r":2:"):
             read_weights_csv(path)
 
+    def test_weights_second_row_for_pair_rejected(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("state,weight\nmoderate,2\ncomplete,1\nModerate,9\n")
+        with pytest.raises(InvalidInputError, match=r"w\.csv:4: second weight"):
+            read_weights_csv(path)
+        # the same state from another source is a different pair
+        path.write_text("source,state,weight\na,moderate,2\nb,moderate,9\n")
+        assert read_weights_csv(path) == {("a", "moderate"): 2.0, ("b", "moderate"): 9.0}
+
 
 class TestConfigLoading:
     def test_version_required(self, tmp_path):
@@ -475,6 +484,37 @@ class TestCmdPrior:
         assert code == 2
         assert "wat" in capsys.readouterr().err
 
+    def test_duplicate_building_id_exit_2(self, tmp_path, capsys):
+        rows = [["b0", 5000.0, 100.0, 1], ["b1", 5000.0, 1200.0, 7], ["b1", 10.0, 0.0, 2]]
+        cfg = _prior_config(tmp_path, inventory_rows=rows)
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            err = capsys.readouterr().err
+            assert "inventory.csv:4: second row for building 'b1'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("eps_hazard", "abc"),
+            ("eps_capacity", [1]),
+            ("clip_bound", "x"),
+            ("wind_floor", "a"),
+            ("separation", None),
+            ("eps_hazard", True),
+            ("clip_bound", float("nan")),
+            ("wind_floor", float("inf")),
+        ],
+    )
+    def test_config_type_error_exit_2(self, tmp_path, capsys, key, value):
+        cfg = _prior_config(tmp_path, extra={key: value})
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_inventory_file_exit_2(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -622,6 +662,25 @@ class TestCmdUpdate:
         )
         assert main(["update", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "complete" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weight_rows, line",
+        [
+            ([["moderate", 2.0], ["extensive", 1.0], ["moderate", 9.0]], 4),
+            ([["moderate", "nan"], ["extensive", 1.0]], 2),
+            ([["extensive", 1.0], ["complete", "inf"]], 3),
+        ],
+        ids=["second_row", "nan_unused", "inf_unused"],
+    )
+    def test_bad_weights_row_exit_2(self, tmp_path, capsys, weight_rows, line):
+        cfg, _ = _update_fixture(
+            tmp_path, obs_rows=[["b0", "extensive", 1.0]], weight_rows=weight_rows
+        )
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            assert f"weights.csv:{line}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_mode_exit_2(self, tmp_path):
         cfg, _ = _update_fixture(tmp_path, obs_rows=[], mode="telepathy")
@@ -886,6 +945,13 @@ class TestCmdExperiment:
             {"prior_widths": [float("nan")]},
             {"gp_budgets": {"warm_xatol": "x"}},
             {"gp_budgets": {"cold_max_iter": 2.5}},
+            {"observer": {"w_max": "x"}},
+            {"observer": {"w_max": -1}},
+            {"observer": {"w_max": 0}},
+            {"observer": {"w_max": True}},
+            {"observer": {"w_max": float("inf")}},
+            {"observer": {"calibration_size": 2.5}},
+            {"observer": {"calibration_size": True}},
         ],
         ids=[
             "class_error",
@@ -896,6 +962,13 @@ class TestCmdExperiment:
             "widths_nan",
             "xatol_str",
             "max_iter_float",
+            "w_max_str",
+            "w_max_negative",
+            "w_max_zero",
+            "w_max_bool",
+            "w_max_inf",
+            "calibration_size_float",
+            "calibration_size_bool",
         ],
     )
     def test_config_type_error_exit_2(self, tmp_path, change):

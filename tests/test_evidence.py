@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from fragfield.errors import InvalidInputError, UndefinedScoreError
 from fragfield.evidence import (
+    DEFAULT_W_MAX,
     EvaluationSample,
     calibrate_weights,
     exceedance_from_categorical,
-    read_calibration_samples,
     soft_confusion,
     soft_f1,
     weight_from_f1,
@@ -36,6 +36,27 @@ class TestExceedance:
     def test_rejects_oversum(self):
         with pytest.raises(InvalidInputError):
             exceedance_from_categorical([0.6, 0.6, 0.2])
+
+    def test_batch_equals_each_row(self):
+        rng = np.random.default_rng(8)
+        soft = rng.dirichlet(np.ones(4), size=500)[:, 1:]
+        batch = exceedance_from_categorical(soft)
+        assert batch.shape == soft.shape
+        rows = np.stack([exceedance_from_categorical(row) for row in soft])
+        assert np.array_equal(batch, rows)
+
+    @pytest.mark.parametrize(
+        "bad_row", [[0.6, 0.6, 0.2], [-0.1, 0.2, 0.3], [0.2, 1.5, 0.0]]
+    )
+    def test_batch_rejects_one_bad_row(self, bad_row):
+        batch = np.array([[0.2, 0.3, 0.5], bad_row, [0.1, 0.1, 0.1]])
+        with pytest.raises(InvalidInputError):
+            exceedance_from_categorical(batch)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (2, 2, 3)])
+    def test_rejects_empty_or_3d(self, shape):
+        with pytest.raises(InvalidInputError):
+            exceedance_from_categorical(np.zeros(shape))
 
     @given(
         st.lists(st.floats(0, 1), min_size=1, max_size=5).filter(
@@ -154,41 +175,20 @@ class TestWeightFromF1:
 
 
 class TestCalibration:
-    def _write(self, path, rows):
-        with open(path, "w") as fh:
-            fh.write("sample_id,o_mod,o_ext,o_comp,g_mod,g_ext,g_comp\n")
-            for r in rows:
-                fh.write(",".join(str(v) for v in r) + "\n")
-
-    def test_round_trip_and_weights(self, tmp_path):
-        path = tmp_path / "cal.csv"
-        self._write(
-            path,
-            [
-                ("s1", 1, 1, 0, 0.95, 0.8, 0.1),
-                ("s2", 1, 0, 0, 0.9, 0.2, 0.05),
-                ("s3", 0, 0, 0, 0.1, 0.05, 0.02),
-            ],
-        )
-        samples = read_calibration_samples(path)
-        assert len(samples) == 3
-        w = calibrate_weights(samples)
-        assert w.shape == (3,)
+    def test_weights_and_f1_per_state(self):
+        samples = [
+            EvaluationSample(o=(1, 1, 0), g=(0.95, 0.8, 0.1)),
+            EvaluationSample(o=(1, 0, 0), g=(0.9, 0.2, 0.05)),
+            EvaluationSample(o=(0, 0, 0), g=(0.1, 0.05, 0.02)),
+        ]
+        w, f1 = calibrate_weights(samples, 12.5)
+        assert w.shape == f1.shape == (3,)
         assert np.all(w >= 0)
-        # manual check of state 0
-        tp, fp, fn = soft_confusion(samples, 0)
-        assert w[0] == pytest.approx(weight_from_f1(soft_f1(tp, fp, fn)))
+        for j in range(3):
+            expected_f1 = soft_f1(*soft_confusion(samples, j))
+            assert f1[j] == expected_f1
+            assert w[j] == weight_from_f1(expected_f1, w_max=12.5)
 
-    def test_missing_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        with open(path, "w") as fh:
-            fh.write("sample_id,o_mod,o_ext,g_mod,g_ext,g_comp\n")
-            fh.write("s1,1,0,0.9,0.2,0.1\n")
-        with pytest.raises(InvalidInputError, match="o_comp"):
-            read_calibration_samples(path)
-
-    def test_bad_row_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        self._write(path, [("s1", 1, 1, 0, 0.9, 0.8, 0.1), ("s2", 1, "x", 0, 0.9, 0.8, 0.1)])
-        with pytest.raises(InvalidInputError, match=":3:"):
-            read_calibration_samples(path)
+    def test_empty(self):
+        with pytest.raises(InvalidInputError):
+            calibrate_weights([], DEFAULT_W_MAX)

@@ -11,7 +11,7 @@ from fragfield.hazard import (
     FragilityTable,
     TornadoTrack,
     build_prior_field,
-    distance_to_centerline,
+    distances_to_centerline,
     wind_speed,
     wind_speeds,
 )
@@ -24,10 +24,10 @@ def track(width=800.0, centerline=((-10_000.0, 0.0), (10_000.0, 0.0))):
 
 class TestDistance:
     def test_perpendicular(self):
-        assert distance_to_centerline((0, 1), track()) == pytest.approx(1.0)
+        assert distances_to_centerline([0.0], [1.0], track())[0] == pytest.approx(1.0)
 
     def test_on_line(self):
-        assert distance_to_centerline((3.0, 0.0), track()) == 0.0
+        assert distances_to_centerline([3.0], [0.0], track())[0] == 0.0
 
     def test_beyond_endpoint_brute_force(self):
         t = TornadoTrack(
@@ -42,12 +42,12 @@ class TestDistance:
             ts = np.linspace(0.0, 1.0, n)
             d = np.hypot(p[0] - (ax + ts * (bx - ax)), p[1] - (ay + ts * (by - ay)))
             best = min(best, float(d.min()))
-        assert distance_to_centerline(p, t) == pytest.approx(best, abs=1e-5)
+        assert distances_to_centerline([p[0]], [p[1]], t)[0] == pytest.approx(best, abs=1e-5)
 
     def test_single_point_centerline(self):
         t = TornadoTrack(centerline=((0.0, 0.0),), width_total=800.0)
         with pytest.raises(InvalidInputError):
-            distance_to_centerline((1.0, 1.0), t)
+            distances_to_centerline([1.0], [1.0], t)
 
 
 class TestWindProfile:

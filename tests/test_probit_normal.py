@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from fragfield.errors import (
     DomainError,
@@ -26,28 +26,31 @@ from fragfield.probit_normal import (
     pn_from_moments_vec,
     pn_moments,
     pn_moments_vec,
-    std_normal_cdf,
-    std_normal_quantile,
 )
 
 
 class TestStdNormal:
+    """At sigma2 = 0 the moment map is m = Phi(mu) and its inverse mu = Phi^-1(m)."""
+
     def test_cdf_at_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
+        assert pn_moments_vec(np.array([0.0]), np.array([0.0]))[0][0] == 0.5
 
     def test_cdf_reference_value(self):
         # classic two-sided 95% point
-        assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
+        m, _ = pn_moments_vec(np.array([1.959964]), np.array([0.0]))
+        assert m[0] == pytest.approx(0.975, abs=1e-6)
 
     def test_quantile_at_half(self):
-        assert std_normal_quantile(0.5) == 0.0
+        assert pn_from_moments_vec(np.array([0.5]), np.array([0.0]))[0][0] == 0.0
 
     def test_round_trip(self):
         # Phi(x) stored as a double near 1 carries at best ~eps/2 absolute
         # error, which the quantile amplifies by 1/phi(x); allow that floor
         # on top of the nominal 1e-9 tolerance.
         xs = np.linspace(-6.0, 6.0, 61)
-        back = std_normal_quantile(std_normal_cdf(xs))
+        zero = np.zeros_like(xs)
+        back, sigma2 = pn_from_moments_vec(pn_moments_vec(xs, zero)[0], zero)
+        assert np.all(sigma2 == 0.0)
         phi = np.exp(-0.5 * xs**2) / math.sqrt(2 * math.pi)
         tol = 1e-9 + 0.5 * np.finfo(float).eps / phi
         assert np.all(np.abs(back - xs) < tol)
@@ -56,8 +59,8 @@ class TestStdNormal:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_quantile_domain(self, p):
-        with pytest.raises(DomainError):
-            std_normal_quantile(p)
+        with pytest.raises(InvalidInputError, match="strictly inside"):
+            pn_from_moments(PnMoments(p, 0.0))
 
 
 def _mc_phi2(h, rho, z1, z2):
@@ -81,9 +84,9 @@ class TestBivariateEqualCdf:
         )
 
     def test_limits(self):
-        assert bivariate_equal_cdf(0.7, 1.0) == pytest.approx(std_normal_cdf(0.7))
+        assert bivariate_equal_cdf(0.7, 1.0) == pytest.approx(ndtr(0.7))
         assert bivariate_equal_cdf(0.7, -1.0) == pytest.approx(
-            2 * std_normal_cdf(0.7) - 1
+            2 * ndtr(0.7) - 1
         )
         assert bivariate_equal_cdf(-0.7, -1.0) == 0.0
 
@@ -96,7 +99,7 @@ class TestBivariateEqualCdf:
         for h in (-2.0, -0.3, 0.0, 1.2, 3.0):
             for r in (-0.9, -0.2, 0.0, 0.4, 0.97):
                 val = bivariate_equal_cdf(h, r)
-                assert 0.0 <= val <= std_normal_cdf(h) + 1e-15
+                assert 0.0 <= val <= ndtr(h) + 1e-15
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -119,7 +122,7 @@ class TestBivariateEqualCdf:
     def test_gauss_legendre_matches_adaptive(self):
         for h in np.linspace(-3, 3, 13):
             for rho in np.linspace(-0.98, 0.98, 9):
-                gl = std_normal_cdf(h) ** 2 + _phi2_correction_gl(h, rho)
+                gl = ndtr(h) ** 2 + _phi2_correction_gl(h, rho)
                 assert gl == pytest.approx(bivariate_equal_cdf(h, rho), abs=1e-12)
 
 
