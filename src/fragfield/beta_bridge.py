@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import betaln, log_ndtr, ndtri
 
 from .errors import (
@@ -174,6 +173,9 @@ def kl_pn_beta(
     (dx = phi(z) dz), with log Phi(z) and log(1 - Phi(z)) from log_ndtr, so
     no mass near x = 0 or 1 is cut off.
     """
+    # loaded here, not at import: no CLI command integrates
+    from scipy.integrate import IntegrationWarning, quad
+
     if p.sigma2 <= 0:
         raise InvalidInputError("KL needs a non-degenerate PN (sigma2 > 0)")
     if direction not in ("pn_to_beta", "beta_to_pn"):

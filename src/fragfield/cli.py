@@ -52,6 +52,7 @@ from .io import (
     write_trajectory_csv,
     write_update_trajectory_csv,
 )
+from .probit_normal import pn_moments_vec
 
 _TRACK_KEYS = {
     "centerline",
@@ -131,8 +132,9 @@ def cmd_prior(config_path, out_dir, seed, dry_run) -> int:
     )
     field_csv = os.path.join(out_dir, "field.csv")
     field_geojson = os.path.join(out_dir, "field.geojson")
-    write_field_csv(field_csv, fs)
-    write_field_geojson(field_geojson, fs)
+    moments = pn_moments_vec(fs.mu, fs.sigma2)
+    write_field_csv(field_csv, fs, *moments)
+    write_field_geojson(field_geojson, fs, *moments)
     manifest.add_file(field_csv, out_dir)
     manifest.add_file(field_geojson, out_dir)
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
@@ -247,8 +249,9 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
 
     field_csv = os.path.join(out_dir, "field.csv")
     field_geojson = os.path.join(out_dir, "field.geojson")
-    write_field_csv(field_csv, fs)
-    write_field_geojson(field_geojson, fs)
+    moments = pn_moments_vec(fs.mu, fs.sigma2)
+    write_field_csv(field_csv, fs, *moments)
+    write_field_geojson(field_geojson, fs, *moments)
     outputs += [field_csv, field_geojson]
     for path in outputs:
         manifest.add_file(path, out_dir)
@@ -356,8 +359,9 @@ def cmd_experiment(config_path, out_dir, seed, dry_run) -> int:
         stem = f"w{width:g}_{strategy}_{mode}"
         csv_path = os.path.join(fields_dir, stem + ".csv")
         geo_path = os.path.join(fields_dir, stem + ".geojson")
-        write_field_csv(csv_path, fs)
-        write_field_geojson(geo_path, fs)
+        moments = pn_moments_vec(fs.mu, fs.sigma2)
+        write_field_csv(csv_path, fs, *moments)
+        write_field_geojson(geo_path, fs, *moments)
         manifest.add_file(csv_path, out_dir)
         manifest.add_file(geo_path, out_dir)
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)

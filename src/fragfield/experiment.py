@@ -87,21 +87,26 @@ class ObserverModel:
     w_max: float = DEFAULT_W_MAX
 
     def __post_init__(self):
-        if not 0 <= self.class_error <= 1:
-            raise InvalidInputError("class_error must be in [0, 1]")
-        if self.concentration is not None and self.concentration <= 0:
-            raise InvalidInputError("concentration must be positive or None")
-        if not 0 <= self.spread < 1:
-            raise InvalidInputError("spread must be in [0, 1)")
-        size, w_max = self.calibration_size, self.w_max
+        def check(name, ok, what):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or not ok(value)
+            ):
+                raise InvalidInputError(f"{name} must be {what}, got {value!r}")
+
+        check("class_error", lambda v: 0 <= v <= 1, "a number in [0, 1]")
+        if self.concentration is not None:
+            check("concentration", lambda v: v > 0, "a finite number > 0 or None")
+        check("spread", lambda v: 0 <= v < 1, "a number in [0, 1)")
+        check("w_max", lambda v: v > 0, "a finite number > 0")
+        size = self.calibration_size
         if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
             raise InvalidInputError(
                 f"calibration_size must be an integer >= 1, got {size!r}"
             )
-        if isinstance(w_max, bool) or not isinstance(w_max, numbers.Real) or not (
-            0 < w_max < math.inf
-        ):
-            raise InvalidInputError(f"w_max must be a finite number > 0, got {w_max!r}")
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
 
+# scipy.linalg and scipy.optimize are imported inside the functions that use
+# them: every CLI call is a fresh process, and `prior` and `update --mode
+# local` never reach the GP, so they should not pay for loading them
 from .cluster import kmeans
 from .errors import InvalidInputError, NumericalFailureError
 from .probit_normal import pn_moments_vec
@@ -292,6 +292,8 @@ def _chol_with_ladder(n: int, assemble, jitter: float) -> tuple[np.ndarray, floa
     only.  A failed factorisation leaves ``buf`` partly overwritten, so A is
     assembled again before each rung of the ladder.
     """
+    from scipy.linalg.lapack import dpotrf
+
     buf = np.empty((n, n), order="F")
     attempt = jitter
     while True:
@@ -316,6 +318,8 @@ def _exact_solve(points: FieldPoints, params: CompositeKernelParams):
     log marginal likelihood log N(z | 0, K + diag(noise)) (Rasmussen &
     Williams, Alg. 2.1).  K is assembled straight into the buffer LAPACK
     factors, so the solve allocates one n x n array."""
+    from scipy.linalg.lapack import dpotrs
+
     n = len(points)
     if n > EXACT_SOLVE_CAP:
         raise InvalidInputError(
@@ -341,6 +345,8 @@ def _exact_solve(points: FieldPoints, params: CompositeKernelParams):
 def exact_posterior(points: FieldPoints, params: CompositeKernelParams) -> GpPosterior:
     """Posterior marginals at the points, with the log marginal likelihood
     from the same factorisation as ``log_evidence``."""
+    from scipy.linalg import solve_triangular
+
     low, alpha, lml = _exact_solve(points, params)
     # the factor overwrote the solve's copy of K
     k = kernel_matrix(points, params)
@@ -422,6 +428,8 @@ def fit_hyperparameters(
     evaluated there.  The returned parameters never score below ``init``.
     Deterministic for a fixed seed.
     """
+    from scipy.optimize import minimize
+
     # init is scored at its own vector image, which is also the first
     # vertex of the first restart's simplex, so that point is solved once
     t0 = _to_vector(init)
@@ -521,6 +529,9 @@ def sparse_variational_posterior(
     omitted, indices are chosen by seeded k-means over (x, y, archetype,
     state, z) features.
     """
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dpotrs
+
     n = len(points)
     if inducing is None:
         m = n_inducing if n_inducing is not None else min(512, max(1, n // 4))

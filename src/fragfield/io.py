@@ -11,6 +11,8 @@ path.  Run manifests record a content digest for every emitted file.
 The field writers format whole columns at once and stay byte-stable: the
 CSV writers spell each float as ``fmt17`` does, and the GeoJSON writer
 writes exactly what ``json.dump(doc, indent=2, sort_keys=True)`` would.
+The field CSV and GeoJSON writers take the cells' probability moments
+from the caller, which computes them once for the pair.
 Every CSV input is read through ``_csv_rows``, which checks the header,
 the field count of each row and the text encoding, so a malformed file
 raises InvalidInputError (CLI exit 2) naming the file and, where there is
@@ -34,7 +36,6 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .field_state import STATES, FieldState
 from .hazard import Building
-from .probit_normal import pn_moments_vec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -86,9 +87,12 @@ def _repeat(values, k) -> list:
     return [v for v in values for _ in range(k)]
 
 
-def write_field_csv(path, fs: FieldState) -> None:
-    """One row per (building, state): id, geometry, PN cell, probability moments."""
-    m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
+def write_field_csv(path, fs: FieldState, m, var_p) -> None:
+    """One row per (building, state): id, geometry, PN cell, probability moments.
+
+    ``m, var_p`` are the cells' probability moments, ``pn_moments_vec(fs.mu,
+    fs.sigma2)``, computed once by the caller for both field writers.
+    """
     d = fs.n_states
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -218,16 +222,16 @@ def _json_floats(a) -> list:
     return out
 
 
-def write_field_geojson(path, fs: FieldState) -> None:
+def write_field_geojson(path, fs: FieldState, m, var_p) -> None:
     """RFC 7946 FeatureCollection of Points, one feature per building.
 
     Coordinates are planar meters, not lon/lat, which RFC 7946 reserves;
     the collection carries ``planar_coordinates: true`` as a foreign member
     to make that explicit.  The bytes are those of ``json.dump(doc, fh,
     indent=2, sort_keys=True)`` plus a newline; each feature is written
-    from one template, so no document is built in memory.
+    from one template, so no document is built in memory.  ``m, var_p``
+    are the probability moments, as for ``write_field_csv``.
     """
-    m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
     props = {
         "building_id": list(map(encode_basestring_ascii, fs.ids)),
         "archetype": list(map(int.__repr__, fs.archetype.tolist())),

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -159,6 +158,9 @@ def bivariate_equal_cdf(h: float, rho: float) -> float:
     Adaptive quadrature on the 1-D reduction; endpoints rho = +-1 are taken
     as limits (comonotone / antithetic cases).
     """
+    # loaded here, not at import: no CLI command integrates
+    from scipy.integrate import quad
+
     if not (math.isfinite(h) and math.isfinite(rho)):
         raise InvalidInputError("arguments must be finite")
     if abs(rho) > 1.0:
@@ -276,7 +278,16 @@ def latent_from_physics(h: HazardLaw, c: CapacityLaw) -> PnMarginal:
     sigma2 = (beta_h^2 + beta_c^2) / beta_aleatory^2
     """
     mu = (h.lambda_h - c.lambda_c) / c.beta_aleatory
-    sigma2 = (h.beta_h**2 + c.beta_c**2) / c.beta_aleatory**2
+    try:
+        sigma2 = (h.beta_h**2 + c.beta_c**2) / c.beta_aleatory**2
+    except (OverflowError, ZeroDivisionError):  # a square left float range
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise InvalidInputError(
+            f"latent variance (beta_h^2 + beta_c^2) / beta_aleatory^2 is not finite "
+            f"for beta_h={h.beta_h!r}, beta_c={c.beta_c!r}, "
+            f"beta_aleatory={c.beta_aleatory!r}"
+        )
     return PnMarginal(mu, sigma2)
 
 

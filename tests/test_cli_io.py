@@ -68,7 +68,7 @@ class TestFieldCsv:
     def test_write_read_round_trip(self, tmp_path):
         fs = _toy_field()
         path = tmp_path / "f.csv"
-        write_field_csv(path, fs)
+        write_field_csv(path, fs, *pn_moments_vec(fs.mu, fs.sigma2))
         back = read_field_csv(path)
         assert back.ids == fs.ids
         np.testing.assert_array_equal(back.mu, fs.mu)
@@ -79,8 +79,9 @@ class TestFieldCsv:
     def test_rewrite_byte_identical(self, tmp_path):
         fs = _toy_field()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_field_csv(a, fs)
-        write_field_csv(b, read_field_csv(a))
+        write_field_csv(a, fs, *pn_moments_vec(fs.mu, fs.sigma2))
+        back = read_field_csv(a)
+        write_field_csv(b, back, *pn_moments_vec(back.mu, back.sigma2))
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_column_named(self, tmp_path):
@@ -92,7 +93,7 @@ class TestFieldCsv:
     def test_missing_state_row(self, tmp_path):
         fs = _toy_field()
         path = tmp_path / "f.csv"
-        write_field_csv(path, fs)
+        write_field_csv(path, fs, *pn_moments_vec(fs.mu, fs.sigma2))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one state row
         with pytest.raises(InvalidInputError, match="missing a state"):
@@ -113,7 +114,7 @@ class TestGeoJson:
     def test_structure(self, tmp_path):
         fs = _toy_field()
         path = tmp_path / "f.geojson"
-        write_field_geojson(path, fs)
+        write_field_geojson(path, fs, *pn_moments_vec(fs.mu, fs.sigma2))
         doc = json.loads(path.read_text())
         assert doc["type"] == "FeatureCollection"
         assert doc["planar_coordinates"] is True
@@ -374,8 +375,18 @@ class TestWritersByteIdentical:
     @pytest.mark.parametrize(
         "write, reference",
         [
-            (write_field_csv, _ref_write_field_csv),
-            (write_field_geojson, _ref_write_field_geojson),
+            (
+                lambda path, fs: write_field_csv(
+                    path, fs, *pn_moments_vec(fs.mu, fs.sigma2)
+                ),
+                _ref_write_field_csv,
+            ),
+            (
+                lambda path, fs: write_field_geojson(
+                    path, fs, *pn_moments_vec(fs.mu, fs.sigma2)
+                ),
+                _ref_write_field_geojson,
+            ),
             (write_gp_field_csv, _ref_write_gp_field_csv),
         ],
         ids=["field_csv", "field_geojson", "gp_field_csv"],
@@ -388,7 +399,7 @@ class TestWritersByteIdentical:
 
     def test_geojson_parses_back(self, tmp_path):
         fs = _awkward_field()
-        write_field_geojson(tmp_path / "f.geojson", fs)
+        write_field_geojson(tmp_path / "f.geojson", fs, *pn_moments_vec(fs.mu, fs.sigma2))
         doc = json.loads((tmp_path / "f.geojson").read_text())
         assert [f["properties"]["building_id"] for f in doc["features"]] == _AWKWARD_IDS
         assert doc["features"][1]["geometry"]["coordinates"] == [1e308, -0.0]
@@ -397,7 +408,7 @@ class TestWritersByteIdentical:
     def test_field_csv_round_trip_exact(self, tmp_path, case):
         fs = _BYTE_CASES[case]()
         path = tmp_path / "f.csv"
-        write_field_csv(path, fs)
+        write_field_csv(path, fs, *pn_moments_vec(fs.mu, fs.sigma2))
         back = read_field_csv(path)
         assert back.ids == fs.ids
         for name in ("x", "y", "archetype", "mu", "sigma2"):
@@ -515,6 +526,16 @@ class TestCmdPrior:
             assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("eps_capacity", 1e308), ("eps_hazard", 1e200)])
+    def test_spread_overflow_exit_2(self, tmp_path, capsys, key, value):
+        rows = [["b0", 5000.0, 100.0, 1], ["b1", 5000.0, 1200.0, 7]]
+        cfg = _prior_config(tmp_path, extra={key: value}, inventory_rows=rows)
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            assert "latent variance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_inventory_file_exit_2(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -530,7 +551,8 @@ def _update_fixture(
     tmp_path, *, obs_rows, weight_rows=None, mode="local", field=None, extra=None
 ):
     field_csv = tmp_path / "field_in.csv"
-    write_field_csv(field_csv, field if field is not None else _toy_field())
+    field = field if field is not None else _toy_field()
+    write_field_csv(field_csv, field, *pn_moments_vec(field.mu, field.sigma2))
     obs = tmp_path / "obs.csv"
     with open(obs, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -952,6 +974,13 @@ class TestCmdExperiment:
             {"observer": {"w_max": float("inf")}},
             {"observer": {"calibration_size": 2.5}},
             {"observer": {"calibration_size": True}},
+            {"observer": {"class_error": True}},
+            {"observer": {"concentration": True}},
+            {"observer": {"spread": True}},
+            {"observer": {"concentration": float("nan")}},
+            {"observer": {"concentration": float("inf")}},
+            {"observer": {"class_error": float("nan")}},
+            {"observer": {"spread": float("nan")}},
         ],
         ids=[
             "class_error",
@@ -969,6 +998,13 @@ class TestCmdExperiment:
             "w_max_inf",
             "calibration_size_float",
             "calibration_size_bool",
+            "class_error_bool",
+            "concentration_bool",
+            "spread_bool",
+            "concentration_nan",
+            "concentration_inf",
+            "class_error_nan",
+            "spread_nan",
         ],
     )
     def test_config_type_error_exit_2(self, tmp_path, change):

@@ -350,6 +350,15 @@ class TestLatentFromPhysics:
         with pytest.raises(InvalidInputError):
             CapacityLaw(1.0, 0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "beta_h, beta_c, beta_aleatory",
+        [(1e308, 0.1, 0.4), (0.1, 1e200, 0.4), (1e154, 1e154, 0.4), (0.1, 0.1, 1e-200)],
+        ids=["square_overflows", "other_square", "sum_overflows", "denominator_underflows"],
+    )
+    def test_non_finite_variance_rejected(self, beta_h, beta_c, beta_aleatory):
+        with pytest.raises(InvalidInputError, match="latent variance"):
+            latent_from_physics(HazardLaw(0.0, beta_h), CapacityLaw(0.0, beta_c, beta_aleatory))
+
 
 class TestClipOrdinalProbit:
     def test_upper_cascade(self):
