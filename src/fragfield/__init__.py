@@ -11,11 +11,8 @@ experiment runner drive the end-to-end synthetic studies.
 __version__ = "0.1.0"
 
 from .probit_normal import (  # noqa: F401
-    CapacityLaw,
-    HazardLaw,
     PnMarginal,
     PnMoments,
-    bivariate_equal_cdf,
     clip_ordinal_probit,
     latent_from_physics,
     pn_from_moments,

@@ -237,11 +237,8 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
             seed=0 if seed is None else seed,
         )
         post = exact_posterior(pts, params)
-        mean_p, var_p = posterior_to_probability(post)
-        fs.gp_mean_p = mean_p.reshape(fs.mu.shape)
-        fs.gp_var_p = var_p.reshape(fs.mu.shape)
         gp_csv = os.path.join(out_dir, "gp_field.csv")
-        write_gp_field_csv(gp_csv, fs)
+        write_gp_field_csv(gp_csv, fs, *posterior_to_probability(post))
         outputs.append(gp_csv)
         traj_csv = os.path.join(out_dir, "trajectory.csv")
         write_update_trajectory_csv(traj_csv, params, post.log_evidence)
@@ -403,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args.config, args.out, args.seed, args.dry_run)
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

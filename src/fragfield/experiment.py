@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -132,27 +133,30 @@ class ScenarioConfig:
     gp_warm_tol: float = 1e-4
 
     def __post_init__(self):
-        for name, kind in (
-            ("n_buildings", numbers.Integral),
-            ("n_batches", numbers.Integral),
-            ("seed", numbers.Integral),
-            ("holdout_fraction", numbers.Real),
-            ("gp_cold_restarts", numbers.Integral),
-            ("gp_cold_max_iter", numbers.Integral),
-            ("gp_warm_max_iter", numbers.Integral),
-            ("gp_warm_xatol", numbers.Real),
-            ("gp_warm_tol", numbers.Real),
+        def count(lo):
+            return numbers.Integral, lambda v: v >= lo, f">= {lo}"
+
+        # the upper bound also keeps out an integer too large for a float
+        tolerance = (
+            numbers.Real, lambda v: 0 <= v <= sys.float_info.max, "finite and >= 0"
+        )
+        for name, (kind, ok, what) in (
+            ("n_buildings", count(2)),
+            ("n_batches", count(1)),
+            ("seed", count(0)),
+            ("holdout_fraction", (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)")),
+            ("gp_cold_restarts", count(1)),
+            ("gp_cold_max_iter", count(1)),
+            ("gp_warm_max_iter", count(1)),
+            ("gp_warm_xatol", tolerance),
+            ("gp_warm_tol", tolerance),
         ):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
                 noun = "an integer" if kind is numbers.Integral else "a number"
-                raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
-        if not 0 < self.holdout_fraction < 1:
-            raise InvalidInputError("holdout_fraction must be in (0, 1)")
-        if self.n_batches < 1:
-            raise InvalidInputError("n_batches must be >= 1")
-        if self.n_buildings < 2:
-            raise InvalidInputError("n_buildings must be >= 2")
+                raise InvalidInputError(f"{name} must be {noun} {what}, got {value!r}")
+        if not all(math.isfinite(b) for pair in self.region for b in pair):
+            raise InvalidInputError(f"region bounds must be finite, got {self.region!r}")
         bad = set(self.strategies) - {"random", "grouped"}
         if bad:
             raise InvalidInputError(f"unknown strategies {sorted(bad)}")
@@ -507,8 +511,6 @@ def _run_single(
             m_flat, var_flat = posterior_to_probability(post)
             m = m_flat.reshape(fs.mu.shape)
             var_p = var_flat.reshape(fs.mu.shape)
-            fs.gp_mean_p = m
-            fs.gp_var_p = var_p
             trajectory.append(
                 TrajectoryRecord(
                     mode=mode,

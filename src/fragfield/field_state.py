@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,9 +15,7 @@ STATES = ("moderate", "extensive", "complete")
 class FieldState:
     """PN marginals for every (building, damage state) cell.
 
-    mu/sigma2 are (n_buildings, n_states) arrays in probit units.  When a GP
-    pass has been run, gp_mean_p/gp_var_p hold the probability-space posterior
-    summaries for the same cells (otherwise None).
+    mu/sigma2 are (n_buildings, n_states) arrays in probit units.
     """
 
     ids: list
@@ -27,8 +25,6 @@ class FieldState:
     mu: np.ndarray
     sigma2: np.ndarray
     states: tuple = STATES
-    gp_mean_p: np.ndarray | None = field(default=None)
-    gp_var_p: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -69,6 +65,4 @@ class FieldState:
             archetype=self.archetype.copy(),
             mu=self.mu.copy(),
             sigma2=self.sigma2.copy(),
-            gp_mean_p=None if self.gp_mean_p is None else self.gp_mean_p.copy(),
-            gp_var_p=None if self.gp_var_p is None else self.gp_var_p.copy(),
         )

@@ -330,8 +330,11 @@ def write_update_trajectory_csv(path, params, lml) -> None:
         )
 
 
-def write_gp_field_csv(path, fs: FieldState) -> None:
-    """GP posterior probability summaries per cell (reporting layer)."""
+def write_gp_field_csv(path, fs: FieldState, mean_p, var_p) -> None:
+    """GP posterior probability summaries per cell (reporting layer).
+
+    ``mean_p, var_p`` hold one value per cell of ``fs``, in its C order.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["building_id", "state", "m", "var_p"])
@@ -339,8 +342,8 @@ def write_gp_field_csv(path, fs: FieldState) -> None:
             zip(
                 _repeat(fs.ids, fs.n_states),
                 list(fs.states) * fs.n_buildings,
-                _fmt17_column(fs.gp_mean_p),
-                _fmt17_column(fs.gp_var_p),
+                _fmt17_column(mean_p),
+                _fmt17_column(var_p),
             )
         )
 

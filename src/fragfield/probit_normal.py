@@ -33,18 +33,14 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import (
-    DomainError,
     InfeasibleMomentsError,
     InfeasibleSeparationError,
     InvalidInputError,
 )
 
 __all__ = [
-    "HazardLaw",
-    "CapacityLaw",
     "PnMarginal",
     "PnMoments",
-    "bivariate_equal_cdf",
     "pn_moments",
     "pn_moments_vec",
     "pn_from_moments",
@@ -59,42 +55,6 @@ SIGMA2_CAP = 1.0e6
 def _coerce_floats(obj, *names):
     for name in names:
         object.__setattr__(obj, name, float(getattr(obj, name)))
-
-
-@dataclass(frozen=True)
-class HazardLaw:
-    """Lognormal hazard intensity: ln H ~ N(lambda_h, beta_h^2)."""
-
-    lambda_h: float
-    beta_h: float
-
-    def __post_init__(self):
-        _coerce_floats(self, "lambda_h", "beta_h")
-        if not (math.isfinite(self.lambda_h) and math.isfinite(self.beta_h)):
-            raise InvalidInputError("hazard law parameters must be finite")
-        if self.beta_h < 0:
-            raise InvalidInputError("beta_h must be >= 0")
-
-
-@dataclass(frozen=True)
-class CapacityLaw:
-    """Lognormal capacity: log-median lambda_c, epistemic log-std beta_c,
-    aleatory dispersion beta_aleatory (the fragility denominator)."""
-
-    lambda_c: float
-    beta_c: float
-    beta_aleatory: float
-
-    def __post_init__(self):
-        _coerce_floats(self, "lambda_c", "beta_c", "beta_aleatory")
-        if not all(
-            math.isfinite(x) for x in (self.lambda_c, self.beta_c, self.beta_aleatory)
-        ):
-            raise InvalidInputError("capacity law parameters must be finite")
-        if self.beta_c < 0:
-            raise InvalidInputError("beta_c must be >= 0")
-        if self.beta_aleatory <= 0:
-            raise InvalidInputError("beta_aleatory must be > 0")
 
 
 @dataclass(frozen=True)
@@ -150,39 +110,6 @@ def _phi2_correction_gl(h, rho):
     """
     h = np.asarray(h, dtype=float)
     return _phi2_correction_u(h * h, np.arcsin(np.asarray(rho, dtype=float)))
-
-
-def bivariate_equal_cdf(h: float, rho: float) -> float:
-    """Phi2(h, h, rho): P(X <= h, Y <= h) for standard bivariate normal (corr rho).
-
-    Adaptive quadrature on the 1-D reduction; endpoints rho = +-1 are taken
-    as limits (comonotone / antithetic cases).
-    """
-    # loaded here, not at import: no CLI command integrates
-    from scipy.integrate import quad
-
-    if not (math.isfinite(h) and math.isfinite(rho)):
-        raise InvalidInputError("arguments must be finite")
-    if abs(rho) > 1.0:
-        raise DomainError("correlation must satisfy |rho| <= 1")
-    if rho == 0.0:
-        return float(ndtr(h)) ** 2
-    if rho == 1.0:
-        return float(ndtr(h))
-    if rho == -1.0:
-        return max(0.0, 2.0 * float(ndtr(h)) - 1.0)
-    ub = math.asin(rho)
-    corr, _ = quad(
-        lambda u: math.exp(-h * h / (1.0 + math.sin(u))),
-        0.0,
-        ub,
-        epsabs=1e-12,
-        epsrel=1e-11,
-        limit=200,
-    )
-    val = float(ndtr(h)) ** 2 + corr / (2.0 * math.pi)
-    # round-off guard: the exact value lies in [0, Phi(h)]
-    return min(max(val, 0.0), float(ndtr(h)))
 
 
 def pn_moments(p: PnMarginal) -> PnMoments:
@@ -271,69 +198,84 @@ def pn_from_moments_vec(m, zeta):
     return mu, sigma2
 
 
-def latent_from_physics(h: HazardLaw, c: CapacityLaw) -> PnMarginal:
-    """Latent fragility index from lognormal hazard/capacity laws:
+def latent_from_physics(lambda_h, beta_h, lambda_c, beta_c, beta_aleatory):
+    """Latent fragility index from lognormal hazard and capacity laws.
+
+    The hazard is ln H ~ N(lambda_h, beta_h^2); the capacity has log-median
+    lambda_c, epistemic log-std beta_c and aleatory dispersion beta_aleatory
+    (the fragility denominator).  The arguments broadcast to one shape, and
+    the result is the pair of arrays of that shape
 
     mu     = (lambda_h - lambda_c) / beta_aleatory
     sigma2 = (beta_h^2 + beta_c^2) / beta_aleatory^2
     """
-    mu = (h.lambda_h - c.lambda_c) / c.beta_aleatory
-    try:
-        sigma2 = (h.beta_h**2 + c.beta_c**2) / c.beta_aleatory**2
-    except (OverflowError, ZeroDivisionError):  # a square left float range
-        sigma2 = math.inf
-    if not math.isfinite(sigma2):
+    args = (lambda_h, beta_h, lambda_c, beta_c, beta_aleatory)
+    lambda_h, beta_h, lambda_c, beta_c, beta_aleatory = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in args)
+    )
+    if not (np.all(beta_h >= 0) and np.all(beta_c >= 0)):
+        raise InvalidInputError("spreads beta_h and beta_c must be >= 0")
+    if not np.all((beta_aleatory > 0) & (beta_aleatory < math.inf)):
+        raise InvalidInputError("beta_aleatory must be finite and > 0")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mu = (lambda_h - lambda_c) / beta_aleatory
+        sigma2 = (beta_h**2 + beta_c**2) / beta_aleatory**2
+    bad = ~np.isfinite(sigma2)
+    if bad.any():
         raise InvalidInputError(
             f"latent variance (beta_h^2 + beta_c^2) / beta_aleatory^2 is not finite "
-            f"for beta_h={h.beta_h!r}, beta_c={c.beta_c!r}, "
-            f"beta_aleatory={c.beta_aleatory!r}"
+            f"for beta_h={float(beta_h[bad][0])!r}, beta_c={float(beta_c[bad][0])!r}, "
+            f"beta_aleatory={float(beta_aleatory[bad][0])!r}"
         )
-    return PnMarginal(mu, sigma2)
+    if not np.all(np.isfinite(mu)):
+        raise InvalidInputError(
+            "latent mean (lambda_h - lambda_c) / beta_aleatory is not finite"
+        )
+    return mu, sigma2
 
 
 def clip_ordinal_probit(mus, bound: float = 3.0, separation: float = 0.05):
     """Clip per-state latent means to [-bound, bound], separating clip-ties.
 
-    ``mus`` is indexed by increasing damage severity.  Entries clipped at
-    +bound cascade top-down (each at least ``separation`` below its
-    predecessor); entries clipped at -bound cascade bottom-up.  A cascade
-    extends transitively: an unclipped value overtaken by a descending clip
-    chain is pressed into the chain with the same separation.  The output is
-    always non-increasing; inversions that owe nothing to clipping are
-    resolved by a plain ordering clamp (tie, no separation), and values with
-    no part in any of this pass through untouched.
+    ``mus`` is an (..., d) array whose last axis runs over increasing damage
+    severity; every row is treated on its own, and the result has the shape
+    of ``mus``.  Entries clipped at +bound cascade top-down (each at least
+    ``separation`` below its predecessor); entries clipped at -bound cascade
+    bottom-up.  A cascade extends transitively: an unclipped value overtaken
+    by a descending clip chain is pressed into the chain with the same
+    separation.  The output is always non-increasing along a row; inversions
+    that owe nothing to clipping are resolved by a plain ordering clamp (tie,
+    no separation), and values with no part in any of this pass through
+    untouched.  Both cascades loop over the d states, each step over all rows.
     """
-    mus = [float(x) for x in mus]
-    n = len(mus)
+    mus = np.asarray(mus, dtype=float)
+    d = mus.shape[-1]
     if bound <= 0:
         raise InvalidInputError("bound must be > 0")
     if separation < 0:
         raise InvalidInputError("separation must be >= 0")
-    if n * separation > 2.0 * bound:
+    if d * separation > 2.0 * bound:
         raise InfeasibleSeparationError(
-            f"{n} states with separation {separation} cannot fit in [-{bound}, {bound}]"
+            f"{d} states with separation {separation} cannot fit in [-{bound}, {bound}]"
         )
-    hi_clip = [x > bound for x in mus]
-    lo_clip = [x < -bound for x in mus]
-    out = [min(max(x, -bound), bound) for x in mus]
-    hi_chain = list(hi_clip)
-    for j in range(1, n):
-        gap = separation if (hi_clip[j] or hi_chain[j - 1]) else 0.0
-        ceiling = out[j - 1] - gap
-        if out[j] > ceiling:
-            hi_chain[j] = hi_clip[j] or hi_chain[j - 1]
-            if ceiling < -bound:
-                # a descending chain may not leave the band; park the entry
-                # at -bound and let the bottom-up pass spread the pile-up
-                out[j] = -bound
-                lo_clip[j] = True
-            else:
-                out[j] = ceiling
-    lo_chain = list(lo_clip)
-    for j in range(n - 2, -1, -1):
-        if lo_clip[j] or lo_chain[j + 1]:
-            floor = out[j + 1] + separation
-            if out[j] < floor:
-                out[j] = min(floor, bound)
-                lo_chain[j] = True
+    hi_clip = mus > bound
+    lo_clip = mus < -bound
+    out = np.minimum(np.maximum(mus, -bound), bound)
+    hi_chain = hi_clip.copy()
+    for j in range(1, d):
+        chained = hi_clip[..., j] | hi_chain[..., j - 1]
+        ceiling = out[..., j - 1] - np.where(chained, separation, 0.0)
+        pressed = out[..., j] > ceiling
+        hi_chain[..., j] |= pressed & hi_chain[..., j - 1]
+        # a descending chain may not leave the band; park the entry at
+        # -bound and let the bottom-up pass spread the pile-up
+        parked = pressed & (ceiling < -bound)
+        lo_clip[..., j] |= parked
+        out[..., j] = np.where(parked, -bound, np.where(pressed, ceiling, out[..., j]))
+    lo_chain = lo_clip.copy()
+    for j in range(d - 2, -1, -1):
+        floor = out[..., j + 1] + separation
+        lifted = (lo_clip[..., j] | lo_chain[..., j + 1]) & (out[..., j] < floor)
+        out[..., j] = np.where(lifted, np.minimum(floor, bound), out[..., j])
+        lo_chain[..., j] |= lifted
     return out

@@ -304,15 +304,14 @@ def _ref_write_field_geojson(path, fs):
         fh.write("\n")
 
 
-def _ref_write_gp_field_csv(path, fs):
+def _ref_write_gp_field_csv(path, fs, gp):
+    mean_p, var_p = gp
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["building_id", "state", "m", "var_p"])
         for i, bid in enumerate(fs.ids):
             for j, state in enumerate(fs.states):
-                writer.writerow(
-                    [bid, state, fmt17(fs.gp_mean_p[i, j]), fmt17(fs.gp_var_p[i, j])]
-                )
+                writer.writerow([bid, state, fmt17(mean_p[i, j]), fmt17(var_p[i, j])])
 
 
 # ids a CSV writer must quote (a comma, a quote), a backslash that JSON
@@ -320,24 +319,25 @@ def _ref_write_gp_field_csv(path, fs):
 _AWKWARD_IDS = ["a,b", 'say "hi"', "back\\slash", "Zürich-7 ☂", "  padded  "]
 
 
+# each byte case is a field and the GP summaries (mean_p, var_p) of its cells
+
+
 def _with_gp(fs):
     rng = np.random.default_rng(9)
-    fs.gp_mean_p = rng.uniform(0, 1, fs.mu.shape)
-    fs.gp_var_p = rng.uniform(0, 0.25, fs.mu.shape)
-    return fs
+    return fs, (rng.uniform(0, 1, fs.mu.shape), rng.uniform(0, 0.25, fs.mu.shape))
 
 
 def _awkward_field():
-    fs = _with_gp(_toy_field(len(_AWKWARD_IDS)))
+    fs, (mean_p, var_p) = _with_gp(_toy_field(len(_AWKWARD_IDS)))
     fs.ids = list(_AWKWARD_IDS)
     fs.x[:3] = [-0.0, 1e308, 5e-324]
     fs.y[:3] = [0.1, -0.0, -1e308]
     fs.mu[0] = [0.1, 0.0, -0.1]
     fs.mu[1] = [-0.0, -0.0, -0.0]
     fs.sigma2[2] = [5e-324, 0.0, 1e308]
-    fs.gp_mean_p[0] = [0.1, 5e-324, -0.0]
-    fs.gp_var_p[0] = [1e308, 0.0, 0.1]
-    return fs
+    mean_p[0] = [0.1, 5e-324, -0.0]
+    var_p[0] = [1e308, 0.0, 0.1]
+    return fs, (mean_p, var_p)
 
 
 def _one_building_field():
@@ -346,19 +346,17 @@ def _one_building_field():
 
 def _empty_field():
     empty = np.zeros((0, len(STATES)))
-    return FieldState(
-        ids=[], x=[], y=[], archetype=[], mu=empty, sigma2=empty,
-        gp_mean_p=empty, gp_var_p=empty,
-    )
+    fs = FieldState(ids=[], x=[], y=[], archetype=[], mu=empty, sigma2=empty)
+    return fs, (empty, empty)
 
 
 def _non_finite_geometry_field():
     # FieldState checks finiteness when it is built, not when a caller
     # assigns to its arrays later; json spells these NaN and Infinity
-    fs = _one_building_field()
+    fs, gp = _one_building_field()
     fs.x[0] = math.nan
     fs.y[0] = -math.inf
-    return fs
+    return fs, gp
 
 
 _BYTE_CASES = {
@@ -376,29 +374,32 @@ class TestWritersByteIdentical:
         "write, reference",
         [
             (
-                lambda path, fs: write_field_csv(
+                lambda path, fs, gp: write_field_csv(
                     path, fs, *pn_moments_vec(fs.mu, fs.sigma2)
                 ),
-                _ref_write_field_csv,
+                lambda path, fs, gp: _ref_write_field_csv(path, fs),
             ),
             (
-                lambda path, fs: write_field_geojson(
+                lambda path, fs, gp: write_field_geojson(
                     path, fs, *pn_moments_vec(fs.mu, fs.sigma2)
                 ),
-                _ref_write_field_geojson,
+                lambda path, fs, gp: _ref_write_field_geojson(path, fs),
             ),
-            (write_gp_field_csv, _ref_write_gp_field_csv),
+            (
+                lambda path, fs, gp: write_gp_field_csv(path, fs, *gp),
+                _ref_write_gp_field_csv,
+            ),
         ],
         ids=["field_csv", "field_geojson", "gp_field_csv"],
     )
     def test_same_bytes_as_reference(self, tmp_path, case, write, reference):
-        fs = _BYTE_CASES[case]()
-        write(tmp_path / "new", fs)
-        reference(tmp_path / "ref", fs)
+        fs, gp = _BYTE_CASES[case]()
+        write(tmp_path / "new", fs, gp)
+        reference(tmp_path / "ref", fs, gp)
         assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
 
     def test_geojson_parses_back(self, tmp_path):
-        fs = _awkward_field()
+        fs, _ = _awkward_field()
         write_field_geojson(tmp_path / "f.geojson", fs, *pn_moments_vec(fs.mu, fs.sigma2))
         doc = json.loads((tmp_path / "f.geojson").read_text())
         assert [f["properties"]["building_id"] for f in doc["features"]] == _AWKWARD_IDS
@@ -406,7 +407,7 @@ class TestWritersByteIdentical:
 
     @pytest.mark.parametrize("case", ["awkward", "one_building"])
     def test_field_csv_round_trip_exact(self, tmp_path, case):
-        fs = _BYTE_CASES[case]()
+        fs, _ = _BYTE_CASES[case]()
         path = tmp_path / "f.csv"
         write_field_csv(path, fs, *pn_moments_vec(fs.mu, fs.sigma2))
         back = read_field_csv(path)
@@ -534,6 +535,33 @@ class TestCmdPrior:
         for dry in (["--dry-run"], []):
             assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
             assert "latent variance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("eps_hazard", -0.1), ("eps_capacity", -1)])
+    def test_negative_spread_exit_2_names_key(self, tmp_path, capsys, key, value):
+        cfg = _prior_config(tmp_path, extra={key: value})
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("median", ["0", "-5", "inf", "nan"])
+    def test_bad_table_median_exit_2(self, tmp_path, capsys, median):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "archetype,state,median_mps,dispersion\n"
+            + "".join(f"{a},{s},{40 + 10 * j},0.2\n" for a in (1, 12)
+                      for j, s in enumerate(STATES))
+            + f"7,moderate,{median},0.2\n7,extensive,50,0.2\n7,complete,60,0.2\n"
+        )
+        cfg = _prior_config(tmp_path, extra={"table": "table.csv"})
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            assert "archetype 7: medians must be finite numbers > 0" in (
+                capsys.readouterr().err
+            )
         assert not out.exists()
 
     def test_missing_inventory_file_exit_2(self, tmp_path):
@@ -981,6 +1009,14 @@ class TestCmdExperiment:
             {"observer": {"concentration": float("inf")}},
             {"observer": {"class_error": float("nan")}},
             {"observer": {"spread": float("nan")}},
+            {"seed": -1},
+            {"gp_budgets": {"cold_max_iter": 0}},
+            {"gp_budgets": {"cold_max_iter": -5}},
+            {"gp_budgets": {"cold_restarts": -3}},
+            {"gp_budgets": {"warm_xatol": float("nan")}},
+            {"gp_budgets": {"warm_xatol": float("inf")}},
+            {"gp_budgets": {"warm_tol": -1}},
+            {"region": [[float("nan"), 10000.0], [-2500.0, 2500.0]]},
         ],
         ids=[
             "class_error",
@@ -1005,6 +1041,14 @@ class TestCmdExperiment:
             "concentration_inf",
             "class_error_nan",
             "spread_nan",
+            "seed_negative",
+            "cold_max_iter_zero",
+            "cold_max_iter_negative",
+            "cold_restarts_negative",
+            "warm_xatol_nan",
+            "warm_xatol_inf",
+            "warm_tol_negative",
+            "region_nan",
         ],
     )
     def test_config_type_error_exit_2(self, tmp_path, change):
@@ -1024,3 +1068,21 @@ class TestCmdExperiment:
         assert "more batches than observed buildings" in capsys.readouterr().err
         assert main(argv) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["prior", "update", "experiment"])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    """A negative --seed exits 2 on every command, before anything is written."""
+    if command == "prior":
+        cfg = _prior_config(tmp_path)
+    elif command == "update":
+        obs_rows = [["b0", "moderate", 1.0]]
+        cfg, _ = _update_fixture(tmp_path, obs_rows=obs_rows, mode="gp")
+    else:
+        cfg = _experiment_config(tmp_path)
+    out = tmp_path / "out"
+    for dry in (["--dry-run"], []):
+        argv = [command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]
+        assert main(argv + dry) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()

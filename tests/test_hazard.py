@@ -15,7 +15,7 @@ from fragfield.hazard import (
     wind_speed,
     wind_speeds,
 )
-from fragfield.probit_normal import pn_moments_vec
+from fragfield.probit_normal import clip_ordinal_probit, pn_moments_vec
 
 
 def track(width=800.0, centerline=((-10_000.0, 0.0), (10_000.0, 0.0))):
@@ -197,3 +197,119 @@ class TestBuildPriorField:
     def test_building_validation(self):
         with pytest.raises(InvalidInputError):
             Building(id="x", x=0.0, y=0.0, archetype=23)
+
+
+# ---------------------------------------------------------------- per-cell reference
+#
+# The prior as it was built one cell at a time: scalar Python arithmetic on
+# every (building, state) cell and the scalar ordinal cascade on every
+# building.  The array pass must give the same field, bit for bit.
+
+
+def _ref_clip_ordinal_probit(mus, bound, separation):
+    mus = [float(x) for x in mus]
+    n = len(mus)
+    hi_clip = [x > bound for x in mus]
+    lo_clip = [x < -bound for x in mus]
+    out = [min(max(x, -bound), bound) for x in mus]
+    hi_chain = list(hi_clip)
+    for j in range(1, n):
+        gap = separation if (hi_clip[j] or hi_chain[j - 1]) else 0.0
+        ceiling = out[j - 1] - gap
+        if out[j] > ceiling:
+            hi_chain[j] = hi_clip[j] or hi_chain[j - 1]
+            if ceiling < -bound:
+                out[j] = -bound
+                lo_clip[j] = True
+            else:
+                out[j] = ceiling
+    lo_chain = list(lo_clip)
+    for j in range(n - 2, -1, -1):
+        if lo_clip[j] or lo_chain[j + 1]:
+            floor = out[j + 1] + separation
+            if out[j] < floor:
+                out[j] = min(floor, bound)
+                lo_chain[j] = True
+    return out
+
+
+def _ref_build_prior_field(inventory, track, eps_hazard, eps_capacity, bound, separation):
+    table = FragilityTable.default()
+    x = np.array([b.x for b in inventory])
+    y = np.array([b.y for b in inventory])
+    if track.width_total == 0.0:
+        v = np.full(len(inventory), 1.0)
+    else:
+        v = np.maximum(wind_speeds(distances_to_centerline(x, y, track), track), 1.0)
+    mu = np.empty((len(inventory), 3))
+    sigma2 = np.empty((len(inventory), 3))
+    for i, b in enumerate(inventory):
+        lam_h = math.log(v[i])
+        raw = []
+        for j in range(3):
+            disp = table.dispersions[b.archetype][j]
+            raw.append((lam_h - math.log(table.medians[b.archetype][j])) / disp)
+            sigma2[i, j] = (eps_hazard**2 + eps_capacity**2) / disp**2
+        mu[i] = _ref_clip_ordinal_probit(raw, bound, separation)
+    return mu, sigma2
+
+
+_SETTINGS = [
+    # eps_hazard, eps_capacity, clip_bound, separation
+    (0.09, 0.40, 3.0, 0.05),
+    (0.0, 0.0, 3.0, 0.05),
+    (0.2, 0.7, 1.5, 0.3),
+    (0.05, 0.25, 4.0, 0.0),
+]
+
+
+class TestArrayPassMatchesPerCellReference:
+    @staticmethod
+    def _inventory():
+        # every archetype on a line across the track, plus random sites
+        # scattered over it and one far out
+        rng = np.random.default_rng(11)
+        inv = [
+            Building(id=f"l{a}_{k}", x=0.0, y=float(yy), archetype=a)
+            for a in range(1, 20)
+            for k, yy in enumerate(np.linspace(-6000.0, 6000.0, 41))
+        ]
+        xs = rng.uniform(-8000.0, 8000.0, 400)
+        ys = rng.uniform(-5000.0, 5000.0, 400)
+        arch = rng.integers(1, 20, 400)
+        inv += [
+            Building(id=f"r{k}", x=xs[k], y=ys[k], archetype=int(arch[k]))
+            for k in range(400)
+        ]
+        return inv + [Building(id="far", x=0.0, y=250_000.0, archetype=19)]
+
+    @pytest.mark.parametrize("width", [0.0, 300.0, 800.0, 1600.0, 3200.0, 9000.0])
+    @pytest.mark.parametrize("setting", _SETTINGS)
+    def test_bit_identical(self, width, setting):
+        eps_h, eps_c, bound, sep = setting
+        inv = self._inventory()
+        fs = build_prior_field(
+            inv, track(width), eps_hazard=eps_h, eps_capacity=eps_c,
+            clip_bound=bound, separation=sep,
+        )
+        mu, sigma2 = _ref_build_prior_field(inv, track(width), eps_h, eps_c, bound, sep)
+        assert np.array_equal(fs.mu, mu)
+        assert np.array_equal(fs.sigma2, sigma2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_cascade_row_by_row(self, d):
+        # values on the bounds, just inside and outside them, and ties, so
+        # that both cascades, parking and lifting all occur
+        rng = np.random.default_rng(d)
+        grid = np.array([-4.0, -3.0, -2.97, -2.9, -1.0, 0.0, 2.9, 2.97, 3.0, 4.0])
+        mus = np.where(
+            rng.random((5000, d)) < 0.5,
+            rng.choice(grid, (5000, d)),
+            rng.uniform(-5.0, 5.0, (5000, d)),
+        )
+        for bound, sep in ((3.0, 0.05), (3.0, 0.0), (1.0, 0.5)):
+            if d * sep > 2 * bound:
+                continue
+            out = clip_ordinal_probit(mus, bound=bound, separation=sep)
+            ref = [_ref_clip_ordinal_probit(row, bound, sep) for row in mus.tolist()]
+            assert out.tolist() == ref

@@ -14,12 +14,9 @@ from fragfield.errors import (
 )
 from fragfield.probit_normal import (
     SIGMA2_CAP,
-    CapacityLaw,
-    HazardLaw,
     PnMarginal,
     PnMoments,
     _phi2_correction_gl,
-    bivariate_equal_cdf,
     clip_ordinal_probit,
     latent_from_physics,
     pn_from_moments,
@@ -61,6 +58,39 @@ class TestStdNormal:
     def test_quantile_domain(self, p):
         with pytest.raises(InvalidInputError, match="strictly inside"):
             pn_from_moments(PnMoments(p, 0.0))
+
+
+def bivariate_equal_cdf(h: float, rho: float) -> float:
+    """Phi2(h, h, rho): P(X <= h, Y <= h) for standard bivariate normal (corr rho).
+
+    The adaptive-quadrature reference for the Gauss-Legendre path, on the
+    same 1-D reduction; endpoints rho = +-1 are taken as limits (comonotone /
+    antithetic cases).
+    """
+    from scipy.integrate import quad
+
+    if not (math.isfinite(h) and math.isfinite(rho)):
+        raise InvalidInputError("arguments must be finite")
+    if abs(rho) > 1.0:
+        raise DomainError("correlation must satisfy |rho| <= 1")
+    if rho == 0.0:
+        return float(ndtr(h)) ** 2
+    if rho == 1.0:
+        return float(ndtr(h))
+    if rho == -1.0:
+        return max(0.0, 2.0 * float(ndtr(h)) - 1.0)
+    ub = math.asin(rho)
+    corr, _ = quad(
+        lambda u: math.exp(-h * h / (1.0 + math.sin(u))),
+        0.0,
+        ub,
+        epsabs=1e-12,
+        epsrel=1e-11,
+        limit=200,
+    )
+    val = float(ndtr(h)) ** 2 + corr / (2.0 * math.pi)
+    # round-off guard: the exact value lies in [0, Phi(h)]
+    return min(max(val, 0.0), float(ndtr(h)))
 
 
 def _mc_phi2(h, rho, z1, z2):
@@ -327,28 +357,36 @@ class TestPnFromMomentsTails:
 
 class TestLatentFromPhysics:
     def test_equal_medians(self):
-        p = latent_from_physics(
-            HazardLaw(math.log(50), 0.0), CapacityLaw(math.log(50), 0.0, 0.4)
-        )
-        assert p == PnMarginal(0.0, 0.0)
+        mu, sigma2 = latent_from_physics(math.log(50), 0.0, math.log(50), 0.0, 0.4)
+        assert (mu, sigma2) == (0.0, 0.0)
 
     def test_epistemic_variance(self):
-        p = latent_from_physics(
-            HazardLaw(math.log(50), 0.09), CapacityLaw(math.log(50), 0.40, 0.4)
-        )
-        assert p.sigma2 == pytest.approx(1.050625, abs=1e-12)
+        _, sigma2 = latent_from_physics(math.log(50), 0.09, math.log(50), 0.40, 0.4)
+        assert sigma2 == pytest.approx(1.050625, abs=1e-12)
 
     def test_mean_scaling(self):
-        p = latent_from_physics(
-            HazardLaw(math.log(100), 0.0), CapacityLaw(math.log(50), 0.0, 0.5)
-        )
-        assert p.mu == pytest.approx(math.log(2) / 0.5, abs=1e-12)
+        mu, _ = latent_from_physics(math.log(100), 0.0, math.log(50), 0.0, 0.5)
+        assert mu == pytest.approx(math.log(2) / 0.5, abs=1e-12)
 
     def test_invalid(self):
-        with pytest.raises(InvalidInputError):
-            HazardLaw(math.nan, 0.1)
-        with pytest.raises(InvalidInputError):
-            CapacityLaw(1.0, 0.1, 0.0)
+        with pytest.raises(InvalidInputError, match="latent mean"):
+            latent_from_physics(math.nan, 0.1, 1.0, 0.1, 0.4)
+        with pytest.raises(InvalidInputError, match="beta_aleatory"):
+            latent_from_physics(0.0, 0.1, 1.0, 0.1, 0.0)
+        with pytest.raises(InvalidInputError, match=">= 0"):
+            latent_from_physics(0.0, [0.1, -0.1], 1.0, 0.1, 0.4)
+
+    def test_broadcasts_over_cells(self):
+        # one hazard per building against a per-state capacity row
+        lam_h = np.log([[40.0], [80.0]])
+        lam_c = np.log([[35.0, 50.0, 65.0], [40.0, 60.0, 80.0]])
+        disp = np.array([[0.1, 0.2, 0.3], [0.2, 0.2, 0.25]])
+        mu, sigma2 = latent_from_physics(lam_h, 0.09, lam_c, 0.4, disp)
+        assert mu.shape == sigma2.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one = latent_from_physics(lam_h[i, 0], 0.09, lam_c[i, j], 0.4, disp[i, j])
+                assert (mu[i, j], sigma2[i, j]) == one
 
     @pytest.mark.parametrize(
         "beta_h, beta_c, beta_aleatory",
@@ -357,39 +395,47 @@ class TestLatentFromPhysics:
     )
     def test_non_finite_variance_rejected(self, beta_h, beta_c, beta_aleatory):
         with pytest.raises(InvalidInputError, match="latent variance"):
-            latent_from_physics(HazardLaw(0.0, beta_h), CapacityLaw(0.0, beta_c, beta_aleatory))
+            latent_from_physics(0.0, beta_h, 0.0, beta_c, beta_aleatory)
 
 
 class TestClipOrdinalProbit:
     def test_upper_cascade(self):
-        assert clip_ordinal_probit([5.0, 4.0, 3.5]) == pytest.approx([3.0, 2.95, 2.90])
+        out = clip_ordinal_probit([5.0, 4.0, 3.5]).tolist()
+        assert out == pytest.approx([3.0, 2.95, 2.90])
 
     def test_untouched(self):
-        assert clip_ordinal_probit([1.0, 0.5, -0.2]) == [1.0, 0.5, -0.2]
+        assert clip_ordinal_probit([1.0, 0.5, -0.2]).tolist() == [1.0, 0.5, -0.2]
 
     def test_lower_cascade(self):
-        assert clip_ordinal_probit([-4.0, -4.0, -4.0]) == pytest.approx(
+        assert clip_ordinal_probit([-4.0, -4.0, -4.0]).tolist() == pytest.approx(
             [-2.90, -2.95, -3.00]
         )
 
     def test_mixed_bounds(self):
-        out = clip_ordinal_probit([5.0, 0.0, -5.0])
+        out = clip_ordinal_probit([5.0, 0.0, -5.0]).tolist()
         assert out == pytest.approx([3.0, 0.0, -3.0])
 
     def test_upper_chain_presses_unclipped_value(self):
         # the third value never hits the bound but sits inside the descending
         # clip chain, so it is pressed down with the same separation
-        out = clip_ordinal_probit([5.0, 4.0, 2.97])
+        out = clip_ordinal_probit([5.0, 4.0, 2.97]).tolist()
         assert out == pytest.approx([3.0, 2.95, 2.90])
 
     def test_lower_chain_pushes_unclipped_value(self):
-        out = clip_ordinal_probit([-2.97, -4.0, -4.1])
+        out = clip_ordinal_probit([-2.97, -4.0, -4.1]).tolist()
         assert out == pytest.approx([-2.90, -2.95, -3.00])
 
     def test_interior_inversion_clamps_without_separation(self):
         # inversions that owe nothing to clipping resolve to a tie
-        out = clip_ordinal_probit([-1.0, -1.88, -1.84])
+        out = clip_ordinal_probit([-1.0, -1.88, -1.84]).tolist()
         assert out == pytest.approx([-1.0, -1.88, -1.88])
+
+    def test_rows_are_independent(self):
+        # a batch gives each row what that row gives on its own
+        rows = [[5.0, 4.0, 2.97], [-2.97, -4.0, -4.1], [-1.0, -1.88, -1.84]]
+        batch = clip_ordinal_probit(np.array(rows))
+        assert batch.shape == (3, 3)
+        assert batch.tolist() == [clip_ordinal_probit(r).tolist() for r in rows]
 
     def test_infeasible_separation(self):
         with pytest.raises(InfeasibleSeparationError):
@@ -398,7 +444,7 @@ class TestClipOrdinalProbit:
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6))
     @settings(max_examples=300)
     def test_ordinality_and_bounds(self, mus):
-        out = clip_ordinal_probit(mus)
+        out = clip_ordinal_probit(mus).tolist()
         assert all(a >= b - 1e-12 for a, b in zip(out, out[1:]))
         assert all(-3.0 - 1e-12 <= x <= 3.0 + 1e-12 for x in out)
         # a moved interior value is always explained by a neighbour: pressed
@@ -417,4 +463,4 @@ class TestClipOrdinalProbit:
     )
     @settings(max_examples=200)
     def test_in_band_ordered_input_passes_through(self, mus):
-        assert clip_ordinal_probit(mus) == mus
+        assert clip_ordinal_probit(mus).tolist() == mus
