@@ -13,8 +13,6 @@ configs and seeds reproduce bit-identical outputs across platforms.
 from __future__ import annotations
 
 import argparse
-import math
-import numbers
 import os
 import sys
 from dataclasses import replace
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .beta_bridge import WeightedObservation, update_cells
-from .errors import ConfigError, InvalidInputError, NumericalFailureError
+from .errors import ConfigError, InvalidInputError, NumericalFailureError, check_number
 from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
 from .field_state import STATES
 from .gp_field import (
@@ -70,16 +68,38 @@ def _resolve(path, config_path):
     return os.path.join(os.path.dirname(os.path.abspath(config_path)), path)
 
 
+def _write_outputs(out_dir, config_path, seed, fields, written=()) -> None:
+    """Write each field's CSV + GeoJSON pair and the run's manifest.
+
+    ``fields`` maps a path stem under ``out_dir`` to a FieldState; the
+    manifest lists those pairs and the files in ``written``, which the
+    command has already put in ``out_dir``.
+    """
+    manifest = RunManifest(
+        config_sha256=sha256_file(config_path), seed=seed, artifact_version=__version__
+    )
+    paths = list(written)
+    for stem, fs in fields.items():
+        csv_path = os.path.join(out_dir, stem + ".csv")
+        geo_path = os.path.join(out_dir, stem + ".geojson")
+        moments = pn_moments_vec(fs.mu, fs.sigma2)
+        write_field_csv(csv_path, fs, *moments)
+        write_field_geojson(geo_path, fs, *moments)
+        paths += [csv_path, geo_path]
+    for path in paths:
+        manifest.add_file(path, out_dir)
+    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+
+
 def _track_from_dict(doc, *, path="track") -> TornadoTrack:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object")
     check_keys(doc, _TRACK_KEYS, path=path)
     if "centerline" not in doc or "width_total" not in doc:
         raise ConfigError(f"{path} needs centerline and width_total")
-    kwargs = {k: doc[k] for k in doc if k not in ("centerline",)}
     try:
-        return TornadoTrack(centerline=tuple(tuple(p) for p in doc["centerline"]), **kwargs)
-    except (TypeError, ValueError) as exc:
+        return TornadoTrack(**doc)
+    except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -110,12 +130,7 @@ def cmd_prior(config_path, out_dir, seed, dry_run) -> int:
         if k in doc
     }
     for key, value in kwargs.items():
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        check_number(key, value)
     inventory = read_inventory_csv(_resolve(doc["inventory"], config_path))
     track = _track_from_dict(doc["track"])
     table = (
@@ -127,17 +142,7 @@ def cmd_prior(config_path, out_dir, seed, dry_run) -> int:
     if dry_run:
         return 0
     os.makedirs(out_dir, exist_ok=True)
-    manifest = RunManifest(
-        config_sha256=sha256_file(config_path), seed=seed, artifact_version=__version__
-    )
-    field_csv = os.path.join(out_dir, "field.csv")
-    field_geojson = os.path.join(out_dir, "field.geojson")
-    moments = pn_moments_vec(fs.mu, fs.sigma2)
-    write_field_csv(field_csv, fs, *moments)
-    write_field_geojson(field_geojson, fs, *moments)
-    manifest.add_file(field_csv, out_dir)
-    manifest.add_file(field_geojson, out_dir)
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_outputs(out_dir, config_path, seed, {"field": fs})
     return 0
 
 
@@ -201,12 +206,12 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     mode = doc["mode"]
     if mode not in ("local", "gp"):
         raise ConfigError(f"mode must be 'local' or 'gp', got {mode!r}")
-    gp_budget = {"gp_restarts": 1, "gp_max_iter": 100}
-    for key in gp_budget:
-        value = doc.get(key, gp_budget[key])
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-        gp_budget[key] = value
+    gp_budget = {
+        key: check_number(
+            key, doc.get(key, default), "an integer >= 1", lambda v: v >= 1, integer=True
+        )
+        for key, default in (("gp_restarts", 1), ("gp_max_iter", 100))
+    }
     fs = read_field_csv(_resolve(doc["field"], config_path))
     if mode == "gp" and fs.mu.size > EXACT_SOLVE_CAP:
         raise InvalidInputError(
@@ -223,10 +228,7 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     update_cells(fs.mu, fs.sigma2, grouped.items())
 
     os.makedirs(out_dir, exist_ok=True)
-    manifest = RunManifest(
-        config_sha256=sha256_file(config_path), seed=seed, artifact_version=__version__
-    )
-    outputs = []
+    written = []
     if mode == "gp":
         pts = FieldPoints.from_field_state(fs)
         params = fit_hyperparameters(
@@ -239,20 +241,10 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         post = exact_posterior(pts, params)
         gp_csv = os.path.join(out_dir, "gp_field.csv")
         write_gp_field_csv(gp_csv, fs, *posterior_to_probability(post))
-        outputs.append(gp_csv)
         traj_csv = os.path.join(out_dir, "trajectory.csv")
         write_update_trajectory_csv(traj_csv, params, post.log_evidence)
-        outputs.append(traj_csv)
-
-    field_csv = os.path.join(out_dir, "field.csv")
-    field_geojson = os.path.join(out_dir, "field.geojson")
-    moments = pn_moments_vec(fs.mu, fs.sigma2)
-    write_field_csv(field_csv, fs, *moments)
-    write_field_geojson(field_geojson, fs, *moments)
-    outputs += [field_csv, field_geojson]
-    for path in outputs:
-        manifest.add_file(path, out_dir)
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+        written += [gp_csv, traj_csv]
+    _write_outputs(out_dir, config_path, seed, {"field": fs}, written)
     return 0
 
 
@@ -288,15 +280,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     check_keys(doc, _EXPERIMENT_KEYS)
     kwargs: dict = {}
     if "region" in doc:
-        region = doc["region"]
         try:
-            kwargs["region"] = tuple(
-                (float(lo), float(hi)) for lo, hi in region
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"region: {exc}") from exc
-        if len(kwargs["region"]) != 2:
-            raise ConfigError("region must hold [x_range, y_range]")
+            kwargs["region"] = tuple(tuple(pair) for pair in doc["region"])
+        except TypeError as exc:
+            raise ConfigError(f"region must be [[x0, x1], [y0, y1]]: {exc}") from exc
     if "true_track" in doc:
         kwargs["true_track"] = _track_from_dict(doc["true_track"], path="true_track")
     if "observer" in doc:
@@ -304,10 +291,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         if not isinstance(obs, dict):
             raise ConfigError("observer must be an object")
         check_keys(obs, _OBSERVER_KEYS, path="observer")
-        try:
-            kwargs["observer"] = ObserverModel(**obs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"observer: {exc}") from exc
+        kwargs["observer"] = ObserverModel(**obs)
     if "gp_budgets" in doc:
         budgets = doc["gp_budgets"]
         if not isinstance(budgets, dict):
@@ -317,16 +301,15 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             kwargs[f"gp_{key}"] = value
     for key in ("prior_widths", "strategies", "modes"):
         if key in doc:
-            try:
-                kwargs[key] = tuple(doc[key])
-            except TypeError as exc:
-                raise ConfigError(f"{key} must be a list: {exc}") from exc
+            if not isinstance(doc[key], list):
+                raise ConfigError(f"{key} must be a list, got {doc[key]!r}")
+            kwargs[key] = tuple(doc[key])
     for key in ("n_buildings", "n_batches", "holdout_fraction", "seed"):
         if key in doc:
             kwargs[key] = doc[key]
     try:
         return ScenarioConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # a sweep-axis entry that is a list or an object
         raise ConfigError(f"experiment config: {exc}") from exc
 
 
@@ -338,30 +321,16 @@ def cmd_experiment(config_path, out_dir, seed, dry_run) -> int:
     if dry_run:
         return 0
     result = run_online_experiment(config)
-    os.makedirs(out_dir, exist_ok=True)
-    fields_dir = os.path.join(out_dir, "fields")
-    os.makedirs(fields_dir, exist_ok=True)
-    manifest = RunManifest(
-        config_sha256=sha256_file(config_path),
-        seed=config.seed,
-        artifact_version=__version__,
-    )
+    os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
     metrics_csv = os.path.join(out_dir, "metrics.csv")
     trajectory_csv = os.path.join(out_dir, "trajectory.csv")
     write_metrics_csv(metrics_csv, result.metrics)
     write_trajectory_csv(trajectory_csv, result.trajectory)
-    manifest.add_file(metrics_csv, out_dir)
-    manifest.add_file(trajectory_csv, out_dir)
-    for (width, strategy, mode), fs in sorted(result.final_fields.items()):
-        stem = f"w{width:g}_{strategy}_{mode}"
-        csv_path = os.path.join(fields_dir, stem + ".csv")
-        geo_path = os.path.join(fields_dir, stem + ".geojson")
-        moments = pn_moments_vec(fs.mu, fs.sigma2)
-        write_field_csv(csv_path, fs, *moments)
-        write_field_geojson(geo_path, fs, *moments)
-        manifest.add_file(csv_path, out_dir)
-        manifest.add_file(geo_path, out_dir)
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    fields = {
+        os.path.join("fields", f"w{width:g}_{strategy}_{mode}"): fs
+        for (width, strategy, mode), fs in sorted(result.final_fields.items())
+    }
+    _write_outputs(out_dir, config_path, config.seed, fields, [metrics_csv, trajectory_csv])
     return 0
 
 

@@ -25,15 +25,13 @@ prior widths and modes so that runs differ only where they should.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .beta_bridge import WeightedObservation, update_cells
 from .cluster import balanced_kmeans
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 from .evidence import (
     DEFAULT_W_MAX,
     EvaluationSample,
@@ -88,26 +86,15 @@ class ObserverModel:
     w_max: float = DEFAULT_W_MAX
 
     def __post_init__(self):
-        def check(name, ok, what):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-                or not ok(value)
-            ):
-                raise InvalidInputError(f"{name} must be {what}, got {value!r}")
-
-        check("class_error", lambda v: 0 <= v <= 1, "a number in [0, 1]")
+        check_number("class_error", self.class_error, "a number in [0, 1]", lambda v: 0 <= v <= 1)
         if self.concentration is not None:
-            check("concentration", lambda v: v > 0, "a finite number > 0 or None")
-        check("spread", lambda v: 0 <= v < 1, "a number in [0, 1)")
-        check("w_max", lambda v: v > 0, "a finite number > 0")
-        size = self.calibration_size
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-            raise InvalidInputError(
-                f"calibration_size must be an integer >= 1, got {size!r}"
+            check_number(
+                "concentration", self.concentration, "a finite number > 0 or None", lambda v: v > 0
             )
+        check_number("spread", self.spread, "a number in [0, 1)", lambda v: 0 <= v < 1)
+        check_number("w_max", self.w_max, "a finite number > 0", lambda v: v > 0)
+        size = self.calibration_size
+        check_number("calibration_size", size, "an integer >= 1", lambda v: v >= 1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -133,30 +120,35 @@ class ScenarioConfig:
     gp_warm_tol: float = 1e-4
 
     def __post_init__(self):
-        def count(lo):
-            return numbers.Integral, lambda v: v >= lo, f">= {lo}"
-
-        # the upper bound also keeps out an integer too large for a float
-        tolerance = (
-            numbers.Real, lambda v: 0 <= v <= sys.float_info.max, "finite and >= 0"
-        )
-        for name, (kind, ok, what) in (
-            ("n_buildings", count(2)),
-            ("n_batches", count(1)),
-            ("seed", count(0)),
-            ("holdout_fraction", (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)")),
-            ("gp_cold_restarts", count(1)),
-            ("gp_cold_max_iter", count(1)),
-            ("gp_warm_max_iter", count(1)),
-            ("gp_warm_xatol", tolerance),
-            ("gp_warm_tol", tolerance),
+        for name, lo in (
+            ("n_buildings", 2),
+            ("n_batches", 1),
+            ("seed", 0),
+            ("gp_cold_restarts", 1),
+            ("gp_cold_max_iter", 1),
+            ("gp_warm_max_iter", 1),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-                noun = "an integer" if kind is numbers.Integral else "a number"
-                raise InvalidInputError(f"{name} must be {noun} {what}, got {value!r}")
-        if not all(math.isfinite(b) for pair in self.region for b in pair):
-            raise InvalidInputError(f"region bounds must be finite, got {self.region!r}")
+            what = f"an integer >= {lo}"
+            check_number(name, getattr(self, name), what, lambda v: v >= lo, integer=True)
+        check_number(
+            "holdout_fraction", self.holdout_fraction, "a number in (0, 1)", lambda v: 0 < v < 1
+        )
+        for name in ("gp_warm_xatol", "gp_warm_tol"):
+            check_number(name, getattr(self, name), "a finite number >= 0", lambda v: v >= 0)
+        if len(self.region) != 2 or any(len(pair) != 2 for pair in self.region):
+            raise InvalidInputError(f"region must be [[x0, x1], [y0, y1]], got {self.region!r}")
+        for axis, pair in zip("xy", self.region):
+            for bound in pair:
+                check_number(f"region {axis} bound", bound)
+        # the runner builds one prior track per width with this width_total
+        for k, width in enumerate(self.prior_widths):
+            check_number(f"prior_widths[{k}]", width, "a finite number >= 0", lambda v: v >= 0)
+        for name in ("prior_widths", "strategies", "modes"):
+            axis = getattr(self, name)
+            if not axis or len(set(axis)) != len(axis):
+                raise InvalidInputError(
+                    f"{name} must be a non-empty list with no repeats, got {list(axis)!r}"
+                )
         bad = set(self.strategies) - {"random", "grouped"}
         if bad:
             raise InvalidInputError(f"unknown strategies {sorted(bad)}")
@@ -165,9 +157,6 @@ class ScenarioConfig:
             raise InvalidInputError(f"unknown modes {sorted(bad)}")
         if self.n_batches > self.n_buildings - self.n_holdout:
             raise InvalidInputError("more batches than observed buildings")
-        for width in self.prior_widths:
-            # the runner builds one prior track per width exactly like this
-            replace(self.true_track, width_total=float(width))
 
     @property
     def n_holdout(self) -> int:
@@ -422,7 +411,7 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
 
     priors = {}
     for width in config.prior_widths:
-        track = replace(config.true_track, width_total=float(width))
+        track = replace(config.true_track, width_total=width)
         priors[width] = build_prior_field(inventory, track)
 
     metrics, trajectory, violations, finals = [], [], [], {}

@@ -275,10 +275,6 @@ def kernel_matrix(
     noise (and any jitter) to the diagonal themselves.  ``out``, a
     C-contiguous n x n float array, receives K in place of a new array.
     """
-    # without a buffer, keep the two-argument call that
-    # test_cross_block_equals_kernel_rows replaces with a spy
-    if out is None:
-        return _kernel(points._geometry(), params)
     return _kernel(points._geometry(), params, out)
 
 

@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 from .field_state import STATES, FieldState
 from .probit_normal import clip_ordinal_probit, latent_from_physics
 
@@ -72,13 +72,22 @@ class TornadoTrack:
     edge_fraction: float = 0.873
 
     def __post_init__(self):
-        pts = tuple((float(p[0]), float(p[1])) for p in self.centerline)
-        object.__setattr__(self, "centerline", pts)
+        try:
+            pts = tuple(tuple(p) for p in self.centerline)
+        except TypeError:
+            pts = ()
+        if len(pts) < 2 or any(len(p) != 2 for p in pts):
+            raise InvalidInputError(
+                f"centerline must be at least two [x, y] points, got {self.centerline!r}"
+            )
+        for k, p in enumerate(pts):
+            for c in p:
+                check_number(f"centerline[{k}] coordinate", c)
+        object.__setattr__(self, "centerline", tuple((float(x), float(y)) for x, y in pts))
+        check_number("width_total", self.width_total, "a finite number >= 0", lambda v: v >= 0)
         object.__setattr__(self, "width_total", float(self.width_total))
-        if not pts:
-            raise InvalidInputError("centerline must contain at least one point")
-        if not 0 <= self.width_total < math.inf:
-            raise InvalidInputError("width_total must be finite and >= 0")
+        for name in ("v_core", "v_edge", "core_fraction", "edge_fraction"):
+            check_number(name, getattr(self, name))
         if not 0 < self.core_fraction < self.edge_fraction < 1:
             raise InvalidInputError("need 0 < core_fraction < edge_fraction < 1")
         if not self.v_core > self.v_edge > 0:
@@ -171,8 +180,6 @@ def _segment_distance(px, py, ax, ay, bx, by):
 def distances_to_centerline(x, y, track: TornadoTrack) -> np.ndarray:
     """Minimum distance from each point to the track polyline."""
     pts = track.centerline
-    if len(pts) < 2:
-        raise InvalidInputError("centerline needs at least two points")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     best = np.full(x.shape, np.inf)

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -418,9 +419,16 @@ def read_weights_csv(path):
 
 def load_config(path) -> dict:
     """Parse a JSON config document and check its schema version."""
+    def parse_int(text):
+        # a config integer must fit a float, like every other config number;
+        # the length test comes first because int() refuses very long text
+        if len(text.lstrip("-")) > 309 or abs(int(text)) > sys.float_info.max:
+            raise ConfigError(f"{path}: integer {text[:12]}... is beyond float range")
+        return int(text)
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -428,7 +436,7 @@ def load_config(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 in Python
         raise ConfigError(
             f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )

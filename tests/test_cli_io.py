@@ -206,6 +206,19 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="schema_version"):
             load_config(path)
 
+    def test_version_true_is_not_1(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema_version": True}))
+        with pytest.raises(ConfigError, match="schema_version must be 1, got True"):
+            load_config(path)
+
+    def test_integer_longer_than_int_parses_is_config_error(self, tmp_path):
+        # int() refuses more than 4,300 digits with a ValueError
+        path = tmp_path / "c.json"
+        path.write_text('{"schema_version": 1, "seed": -1' + "0" * 5000 + "}")
+        with pytest.raises(ConfigError, match="beyond float range"):
+            load_config(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
@@ -525,6 +538,27 @@ class TestCmdPrior:
         for dry in (["--dry-run"], []):
             assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
             assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"width_total": True}, "width_total must be a finite number >= 0, got True"),
+            ({"width_total": "800"}, "width_total must be a finite number >= 0, got '800'"),
+            ({"centerline": [[True, 0], [200, False]]}, "centerline[0] coordinate must be"),
+            ({"centerline": [[1, 2, 3], [4, 5, 6]]}, "centerline must be at least two [x, y]"),
+        ],
+        ids=["width_bool", "width_str", "centerline_bool", "centerline_3d"],
+    )
+    def test_bad_track_exit_2(self, tmp_path, capsys, change, message):
+        cfg = _prior_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["track"].update(change)
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            assert f"track: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("eps_capacity", 1e308), ("eps_hazard", 1e200)])
@@ -1017,6 +1051,14 @@ class TestCmdExperiment:
             {"gp_budgets": {"warm_xatol": float("inf")}},
             {"gp_budgets": {"warm_tol": -1}},
             {"region": [[float("nan"), 10000.0], [-2500.0, 2500.0]]},
+            {"prior_widths": [True]},
+            {"prior_widths": ["800"]},
+            {"region": [[True, "10000"], [-2500, 2500]]},
+            {"true_track": {"centerline": [[0, 0], [float("nan"), 0]], "width_total": 1600}},
+            {"true_track": {"centerline": [[0, 0]], "width_total": 1600}},
+            {"prior_widths": [800, 800]},
+            {"modes": []},
+            {"strategies": "random"},
         ],
         ids=[
             "class_error",
@@ -1049,6 +1091,14 @@ class TestCmdExperiment:
             "warm_xatol_inf",
             "warm_tol_negative",
             "region_nan",
+            "widths_bool",
+            "widths_numeric_str",
+            "region_bool_str",
+            "true_track_nan",
+            "true_track_one_point",
+            "widths_repeated",
+            "modes_empty",
+            "strategies_str",
         ],
     )
     def test_config_type_error_exit_2(self, tmp_path, change):
@@ -1057,6 +1107,7 @@ class TestCmdExperiment:
         for extra in (["--dry-run"], []):
             argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
             assert main(argv + extra) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_dry_run_rejects_more_batches_than_observed(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
@@ -1085,4 +1136,40 @@ def test_negative_seed_exit_2(tmp_path, capsys, command):
         argv = [command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]
         assert main(argv + dry) == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, path",
+    [
+        ("prior", ["eps_hazard"]),
+        ("prior", ["track", "width_total"]),
+        ("update", ["gp_max_iter"]),
+        ("experiment", ["observer", "spread"]),
+        ("experiment", ["region", 0, 1]),
+    ],
+    ids=["prior_eps_hazard", "prior_width", "update_max_iter", "experiment_spread",
+         "experiment_region"],
+)
+def test_integer_beyond_float_range_exit_2(tmp_path, capsys, command, path):
+    """A JSON integer no float can hold exits 2 naming the config file."""
+    if command == "prior":
+        cfg = _prior_config(tmp_path)
+    elif command == "update":
+        cfg, _ = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])
+    else:
+        cfg = _experiment_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    if path[0] == "region":
+        doc["region"] = [[0, 10000], [-2500, 2500]]
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = 10**400
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for dry in (["--dry-run"], []):
+        assert main([command, "--config", str(cfg), "--out", str(out)] + dry) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "beyond float range" in err
     assert not out.exists()

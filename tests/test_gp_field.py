@@ -499,8 +499,8 @@ class TestSparseVariational:
         expected = kernel_matrix(pts, p)[_select_inducing(pts, 20, 4), :]
         blocks = []
 
-        def spy(geom, params):
-            blocks.append(_kernel(geom, params))
+        def spy(geom, params, out=None):
+            blocks.append(_kernel(geom, params, out))
             return blocks[-1]
 
         monkeypatch.setattr(gp_field, "_kernel", spy)

@@ -45,8 +45,8 @@ class TestDistance:
         assert distances_to_centerline([p[0]], [p[1]], t)[0] == pytest.approx(best, abs=1e-5)
 
     def test_single_point_centerline(self):
-        t = TornadoTrack(centerline=((0.0, 0.0),), width_total=800.0)
         with pytest.raises(InvalidInputError):
+            t = TornadoTrack(centerline=((0.0, 0.0),), width_total=800.0)
             distances_to_centerline([1.0], [1.0], t)
 
 
