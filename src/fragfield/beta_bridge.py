@@ -82,7 +82,6 @@ class WeightedObservation:
 
     y: float
     weight: float
-    source: str = "obs"
 
     def __post_init__(self):
         object.__setattr__(self, "y", float(self.y))

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
-
-import numpy as np
+from dataclasses import fields, replace
 
 from . import __version__
 from .beta_bridge import WeightedObservation, update_cells
@@ -30,7 +28,6 @@ from .gp_field import (
     data_informed_init,
     exact_posterior,
     fit_hyperparameters,
-    posterior_to_probability,
 )
 from .hazard import FragilityTable, TornadoTrack, build_prior_field
 from .io import (
@@ -52,26 +49,20 @@ from .io import (
 )
 from .probit_normal import pn_moments_vec
 
-_TRACK_KEYS = {
-    "centerline",
-    "width_total",
-    "v_core",
-    "v_edge",
-    "core_fraction",
-    "edge_fraction",
-}
 
-
-def _resolve(path, config_path):
-    if os.path.isabs(path):
-        return path
+def _resolve(doc, key, config_path):
+    """The file named by config key ``key``, relative to the config's directory."""
+    path = doc[key]
+    if not isinstance(path, str):
+        raise ConfigError(f"{key} must be a path string, got {path!r}")
+    # an absolute ``path`` replaces the directory
     return os.path.join(os.path.dirname(os.path.abspath(config_path)), path)
 
 
-def _write_outputs(out_dir, config_path, seed, fields, written=()) -> None:
+def _write_outputs(out_dir, config_path, seed, field_states, written=()) -> None:
     """Write each field's CSV + GeoJSON pair and the run's manifest.
 
-    ``fields`` maps a path stem under ``out_dir`` to a FieldState; the
+    ``field_states`` maps a path stem under ``out_dir`` to a FieldState; the
     manifest lists those pairs and the files in ``written``, which the
     command has already put in ``out_dir``.
     """
@@ -79,7 +70,7 @@ def _write_outputs(out_dir, config_path, seed, fields, written=()) -> None:
         config_sha256=sha256_file(config_path), seed=seed, artifact_version=__version__
     )
     paths = list(written)
-    for stem, fs in fields.items():
+    for stem, fs in field_states.items():
         csv_path = os.path.join(out_dir, stem + ".csv")
         geo_path = os.path.join(out_dir, stem + ".geojson")
         moments = pn_moments_vec(fs.mu, fs.sigma2)
@@ -91,50 +82,45 @@ def _write_outputs(out_dir, config_path, seed, fields, written=()) -> None:
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _track_from_dict(doc, *, path="track") -> TornadoTrack:
+def _section(doc, path, cls, prefix="") -> dict:
+    """The keyword arguments of ``cls`` that config object ``doc`` sets.
+
+    Each key of ``doc`` must name a field of the dataclass ``cls`` once
+    ``prefix`` is put before it; an unknown key is reported as ``path.key``.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object")
-    check_keys(doc, _TRACK_KEYS, path=path)
+    names = [f.name[len(prefix) :] for f in fields(cls) if f.name.startswith(prefix)]
+    check_keys(doc, names, path=path)
+    return {prefix + key: value for key, value in doc.items()}
+
+
+def _track_from_dict(doc, *, path="track") -> TornadoTrack:
+    kwargs = _section(doc, path, TornadoTrack)
     if "centerline" not in doc or "width_total" not in doc:
         raise ConfigError(f"{path} needs centerline and width_total")
     try:
-        return TornadoTrack(**doc)
+        return TornadoTrack(**kwargs)
     except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- prior
 
-_PRIOR_KEYS = {
-    "schema_version",
-    "inventory",
-    "track",
-    "table",
-    "eps_hazard",
-    "eps_capacity",
-    "clip_bound",
-    "separation",
-    "wind_floor",
-}
+_PRIOR_NUMBERS = ("eps_hazard", "eps_capacity", "clip_bound", "separation", "wind_floor")
 
 
 def cmd_prior(config_path, out_dir, seed, dry_run) -> int:
     doc = load_config(config_path)
-    check_keys(doc, _PRIOR_KEYS)
+    check_keys(doc, ("schema_version", "inventory", "track", "table", *_PRIOR_NUMBERS))
     for key in ("inventory", "track"):
         if key not in doc:
             raise ConfigError(f"missing required config key: {key}")
-    kwargs = {
-        k: doc[k]
-        for k in ("eps_hazard", "eps_capacity", "clip_bound", "separation", "wind_floor")
-        if k in doc
-    }
-    for key, value in kwargs.items():
-        check_number(key, value)
-    inventory = read_inventory_csv(_resolve(doc["inventory"], config_path))
+    kwargs = {key: check_number(key, doc[key]) for key in _PRIOR_NUMBERS if key in doc}
+    inventory = read_inventory_csv(_resolve(doc, "inventory", config_path))
     track = _track_from_dict(doc["track"])
     table = (
-        FragilityTable.from_csv(_resolve(doc["table"], config_path))
+        FragilityTable.from_csv(_resolve(doc, "table", config_path))
         if "table" in doc
         else FragilityTable.default()
     )
@@ -148,15 +134,8 @@ def cmd_prior(config_path, out_dir, seed, dry_run) -> int:
 
 # ---------------------------------------------------------------- update
 
-_UPDATE_KEYS = {
-    "schema_version",
-    "field",
-    "observations",
-    "weights",
-    "mode",
-    "gp_restarts",
-    "gp_max_iter",
-}
+# gp mode's fit budget: config key -> default
+_GP_BUDGET = {"gp_restarts": 1, "gp_max_iter": 100}
 
 
 def _group_observations(fs, observations, weights):
@@ -199,7 +178,9 @@ def _group_observations(fs, observations, weights):
 
 def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     doc = load_config(config_path)
-    check_keys(doc, _UPDATE_KEYS)
+    check_keys(
+        doc, ("schema_version", "field", "observations", "weights", "mode", *_GP_BUDGET)
+    )
     for key in ("field", "observations", "weights", "mode"):
         if key not in doc:
             raise ConfigError(f"missing required config key: {key}")
@@ -210,17 +191,17 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         key: check_number(
             key, doc.get(key, default), "an integer >= 1", lambda v: v >= 1, integer=True
         )
-        for key, default in (("gp_restarts", 1), ("gp_max_iter", 100))
+        for key, default in _GP_BUDGET.items()
     }
-    fs = read_field_csv(_resolve(doc["field"], config_path))
+    fs = read_field_csv(_resolve(doc, "field", config_path))
     if mode == "gp" and fs.mu.size > EXACT_SOLVE_CAP:
         raise InvalidInputError(
             f"gp mode takes at most {EXACT_SOLVE_CAP // fs.n_states} buildings "
             f"({EXACT_SOLVE_CAP} GP points over {fs.n_states} states); the field "
             f"has {fs.n_buildings}"
         )
-    observations = read_observations_csv(_resolve(doc["observations"], config_path))
-    weights = read_weights_csv(_resolve(doc["weights"], config_path))
+    observations = read_observations_csv(_resolve(doc, "observations", config_path))
+    weights = read_weights_csv(_resolve(doc, "weights", config_path))
     grouped = _group_observations(fs, observations, weights)
     if dry_run:
         return 0
@@ -240,7 +221,7 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         )
         post = exact_posterior(pts, params)
         gp_csv = os.path.join(out_dir, "gp_field.csv")
-        write_gp_field_csv(gp_csv, fs, *posterior_to_probability(post))
+        write_gp_field_csv(gp_csv, fs, *pn_moments_vec(post.mean, post.var))
         traj_csv = os.path.join(out_dir, "trajectory.csv")
         write_update_trajectory_csv(traj_csv, params, post.log_evidence)
         written += [gp_csv, traj_csv]
@@ -250,67 +231,21 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
 
 # ---------------------------------------------------------------- experiment
 
-_EXPERIMENT_KEYS = {
-    "schema_version",
-    "n_buildings",
-    "region",
-    "true_track",
-    "prior_widths",
-    "strategies",
-    "modes",
-    "n_batches",
-    "holdout_fraction",
-    "observer",
-    "seed",
-    "gp_budgets",
-}
-
-_OBSERVER_KEYS = {"class_error", "concentration", "spread", "calibration_size", "w_max"}
-_BUDGET_KEYS = {
-    "cold_restarts",
-    "cold_max_iter",
-    "warm_max_iter",
-    "warm_xatol",
-    "warm_tol",
-}
-
-
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a parsed experiment config document."""
-    check_keys(doc, _EXPERIMENT_KEYS)
-    kwargs: dict = {}
-    if "region" in doc:
-        try:
-            kwargs["region"] = tuple(tuple(pair) for pair in doc["region"])
-        except TypeError as exc:
-            raise ConfigError(f"region must be [[x0, x1], [y0, y1]]: {exc}") from exc
+    """Build a ScenarioConfig from a parsed experiment config document.
+
+    Its keys are ScenarioConfig's fields, except that the ``gp_`` fields
+    sit in a ``gp_budgets`` object without that prefix.
+    """
+    top = {f.name for f in fields(ScenarioConfig) if not f.name.startswith("gp_")}
+    check_keys(doc, top | {"schema_version", "gp_budgets"})
+    kwargs = {key: doc[key] for key in top & set(doc)}
+    kwargs.update(_section(doc.get("gp_budgets", {}), "gp_budgets", ScenarioConfig, "gp_"))
     if "true_track" in doc:
         kwargs["true_track"] = _track_from_dict(doc["true_track"], path="true_track")
     if "observer" in doc:
-        obs = doc["observer"]
-        if not isinstance(obs, dict):
-            raise ConfigError("observer must be an object")
-        check_keys(obs, _OBSERVER_KEYS, path="observer")
-        kwargs["observer"] = ObserverModel(**obs)
-    if "gp_budgets" in doc:
-        budgets = doc["gp_budgets"]
-        if not isinstance(budgets, dict):
-            raise ConfigError("gp_budgets must be an object")
-        check_keys(budgets, _BUDGET_KEYS, path="gp_budgets")
-        for key, value in budgets.items():
-            kwargs[f"gp_{key}"] = value
-    for key in ("prior_widths", "strategies", "modes"):
-        if key in doc:
-            if not isinstance(doc[key], list):
-                raise ConfigError(f"{key} must be a list, got {doc[key]!r}")
-            kwargs[key] = tuple(doc[key])
-    for key in ("n_buildings", "n_batches", "holdout_fraction", "seed"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:  # a sweep-axis entry that is a list or an object
-        raise ConfigError(f"experiment config: {exc}") from exc
+        kwargs["observer"] = ObserverModel(**_section(doc["observer"], "observer", ObserverModel))
+    return ScenarioConfig(**kwargs)
 
 
 def cmd_experiment(config_path, out_dir, seed, dry_run) -> int:

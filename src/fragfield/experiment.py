@@ -25,7 +25,7 @@ prior widths and modes so that runs differ only where they should.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .gp_field import (
     exact_posterior,
     fit_hyperparameters,
     ordinality_violation_count,
-    posterior_to_probability,
 )
 from .hazard import Building, FragilityTable, TornadoTrack, build_prior_field, wind_speeds, distances_to_centerline
 from .probit_normal import pn_moments_vec
@@ -135,26 +134,38 @@ class ScenarioConfig:
         )
         for name in ("gp_warm_xatol", "gp_warm_tol"):
             check_number(name, getattr(self, name), "a finite number >= 0", lambda v: v >= 0)
-        if len(self.region) != 2 or any(len(pair) != 2 for pair in self.region):
+        try:
+            region = tuple(tuple(pair) for pair in self.region)
+        except TypeError:
+            region = ()
+        if len(region) != 2 or any(len(pair) != 2 for pair in region):
             raise InvalidInputError(f"region must be [[x0, x1], [y0, y1]], got {self.region!r}")
-        for axis, pair in zip("xy", self.region):
+        for axis, pair in zip("xy", region):
             for bound in pair:
                 check_number(f"region {axis} bound", bound)
+        object.__setattr__(self, "region", region)
+        for name in ("prior_widths", "strategies", "modes"):
+            axis = getattr(self, name)
+            if not isinstance(axis, (list, tuple)):
+                raise InvalidInputError(f"{name} must be a list, got {axis!r}")
+            object.__setattr__(self, name, tuple(axis))
         # the runner builds one prior track per width with this width_total
         for k, width in enumerate(self.prior_widths):
             check_number(f"prior_widths[{k}]", width, "a finite number >= 0", lambda v: v >= 0)
+        # known values first: an entry that is a list or an object cannot be hashed
+        for name, known in (
+            ("strategies", ("random", "grouped")),
+            ("modes", ("local-only", "gp-enabled")),
+        ):
+            bad = [value for value in getattr(self, name) if value not in known]
+            if bad:
+                raise InvalidInputError(f"unknown {name} {bad}")
         for name in ("prior_widths", "strategies", "modes"):
             axis = getattr(self, name)
             if not axis or len(set(axis)) != len(axis):
                 raise InvalidInputError(
                     f"{name} must be a non-empty list with no repeats, got {list(axis)!r}"
                 )
-        bad = set(self.strategies) - {"random", "grouped"}
-        if bad:
-            raise InvalidInputError(f"unknown strategies {sorted(bad)}")
-        bad = set(self.modes) - {"local-only", "gp-enabled"}
-        if bad:
-            raise InvalidInputError(f"unknown modes {sorted(bad)}")
         if self.n_batches > self.n_buildings - self.n_holdout:
             raise InvalidInputError("more batches than observed buildings")
 
@@ -239,11 +250,7 @@ def generate_truth(inventory, track: TornadoTrack, rng) -> np.ndarray:
     table = FragilityTable.default()
     x = np.array([b.x for b in inventory])
     y = np.array([b.y for b in inventory])
-    if track.width_total == 0.0:
-        v = np.zeros(len(inventory))
-    else:
-        r = distances_to_centerline(x, y, track)
-        v = wind_speeds(r, track)
+    v = wind_speeds(distances_to_centerline(x, y, track), track)
     classes = np.zeros(len(inventory), dtype=int)
     for k, b in enumerate(inventory):
         med = table.medians[b.archetype]
@@ -497,7 +504,7 @@ def _run_single(
                     seed=gp_seed,
                 )
             post = exact_posterior(pts, gp_params)
-            m_flat, var_flat = posterior_to_probability(post)
+            m_flat, var_flat = pn_moments_vec(post.mean, post.var)
             m = m_flat.reshape(fs.mu.shape)
             var_p = var_flat.reshape(fs.mu.shape)
             trajectory.append(
@@ -506,12 +513,7 @@ def _run_single(
                     strategy=strategy,
                     prior_width_m=width,
                     step=step,
-                    sigma2_global=gp_params.sigma2_global,
-                    ell1=gp_params.ell1,
-                    ell2=gp_params.ell2,
-                    rho_a=gp_params.rho_a,
-                    alpha_local=gp_params.alpha_local,
-                    tau=gp_params.tau,
+                    **asdict(gp_params),
                     log_marginal_likelihood=post.log_evidence,
                 )
             )

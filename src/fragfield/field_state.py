@@ -24,7 +24,6 @@ class FieldState:
     archetype: np.ndarray
     mu: np.ndarray
     sigma2: np.ndarray
-    states: tuple = STATES
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -32,7 +31,7 @@ class FieldState:
         self.archetype = np.asarray(self.archetype, dtype=int)
         self.mu = np.asarray(self.mu, dtype=float)
         self.sigma2 = np.asarray(self.sigma2, dtype=float)
-        n, d = len(self.ids), len(self.states)
+        n, d = len(self.ids), len(STATES)
         for name, arr, shape in (
             ("x", self.x, (n,)),
             ("y", self.y, (n,)),
@@ -54,7 +53,7 @@ class FieldState:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(STATES)
 
     def copy(self) -> "FieldState":
         return replace(

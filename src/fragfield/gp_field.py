@@ -39,7 +39,7 @@ no hyperparameter fit of its own; its ``log_evidence`` is the collapsed bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +49,6 @@ import numpy as np
 # local` never reach the GP, so they should not pay for loading them
 from .cluster import kmeans
 from .errors import InvalidInputError, NumericalFailureError
-from .probit_normal import pn_moments_vec
 
 __all__ = [
     "FieldPoints",
@@ -60,7 +59,6 @@ __all__ = [
     "log_marginal_likelihood",
     "fit_hyperparameters",
     "sparse_variational_posterior",
-    "posterior_to_probability",
     "ordinality_violation_count",
     "EXACT_SOLVE_CAP",
     "STATE_TIEBREAK",
@@ -210,8 +208,8 @@ class CompositeKernelParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma2_global", "ell1", "ell2", "rho_a", "alpha_local", "tau"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if self.sigma2_global <= 0 or self.ell1 <= 0 or self.ell2 <= 0:
             raise InvalidInputError("variance and lengthscales must be > 0")
         if not 0 < self.rho_a < 1:
@@ -570,11 +568,6 @@ def sparse_variational_posterior(
         -0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi) - 0.5 * trace_gap
     )
     return GpPosterior(mean=mean, var=np.maximum(var, 0.0), log_evidence=elbo)
-
-
-def posterior_to_probability(post: GpPosterior):
-    """Map latent posterior marginals to (E[P], Var[P]) per point."""
-    return pn_moments_vec(post.mean, post.var)
 
 
 def ordinality_violation_count(points: FieldPoints, mean_p) -> int:

@@ -112,12 +112,11 @@ class FragilityTable:
 
     medians: dict
     dispersions: dict
-    states: tuple = STATES
 
     def __post_init__(self):
         for arch, med in self.medians.items():
             disp = self.dispersions.get(arch)
-            if disp is None or len(med) != len(self.states) or len(disp) != len(self.states):
+            if disp is None or len(med) != len(STATES) or len(disp) != len(STATES):
                 raise InvalidInputError(f"archetype {arch}: incomplete fragility row")
             # a median's log is taken, and a dispersion divides
             for name, values in (("medians", med), ("dispersions", disp)):
@@ -251,11 +250,7 @@ def build_prior_field(
     x = np.array([b.x for b in inventory])
     y = np.array([b.y for b in inventory])
     arch = np.array([b.archetype for b in inventory])
-    if track.width_total == 0.0:
-        v = np.full(len(inventory), wind_floor)
-    else:
-        r = distances_to_centerline(x, y, track)
-        v = np.maximum(wind_speeds(r, track), wind_floor)
+    v = np.maximum(wind_speeds(distances_to_centerline(x, y, track), track), wind_floor)
 
     archetypes = table.archetypes
     row = np.searchsorted(archetypes, arch)

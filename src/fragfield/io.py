@@ -27,14 +27,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
+from .experiment import MetricsRecord, TrajectoryRecord
 from .field_state import STATES, FieldState
 from .hazard import Building
 
@@ -104,7 +105,7 @@ def write_field_csv(path, fs: FieldState, m, var_p) -> None:
                 _repeat(_fmt17_column(fs.x), d),
                 _repeat(_fmt17_column(fs.y), d),
                 _repeat(fs.archetype.tolist(), d),
-                list(fs.states) * fs.n_buildings,
+                list(STATES) * fs.n_buildings,
                 _fmt17_column(fs.mu),
                 _fmt17_column(fs.sigma2),
                 _fmt17_column(m),
@@ -238,7 +239,7 @@ def write_field_geojson(path, fs: FieldState, m, var_p) -> None:
         "archetype": list(map(int.__repr__, fs.archetype.tolist())),
     }
     for q, values in zip(_GEO_QUANTITIES, (m, var_p, fs.mu, fs.sigma2)):
-        for j, state in enumerate(fs.states):
+        for j, state in enumerate(STATES):
             props[f"{q}_{state}"] = _json_floats(values[:, j])
     keys = sorted(props)
     feature = "\n".join(
@@ -268,67 +269,34 @@ def write_field_geojson(path, fs: FieldState, m, var_p) -> None:
         fh.write('],\n  "planar_coordinates": true,\n  "type": "FeatureCollection"\n}\n')
 
 
-_METRICS_COLUMNS = (
-    "step",
-    "mode",
-    "strategy",
-    "prior_width_m",
-    "subset",
-    "state",
-    "log_loss_vs_observer",
-    "log_loss_vs_truth",
-    "var_p_median",
-)
+def _write_csv(path, header, rows) -> None:
+    """A CSV of ``header`` and ``rows``, each float spelled by ``fmt17``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([fmt17(v) if isinstance(v, float) else v for v in row] for row in rows)
 
-_KERNEL_COLUMNS = ("sigma2_global", "ell1", "ell2", "rho_a", "alpha_local", "tau")
-_TRAJECTORY_COLUMNS = (
-    ("mode", "strategy", "prior_width_m", "step")
-    + _KERNEL_COLUMNS
-    + ("log_marginal_likelihood",)
-)
+
+def _write_records(path, cls, records) -> None:
+    """One column per field of the dataclass ``cls``, one row per record."""
+    names = [f.name for f in fields(cls)]
+    _write_csv(path, names, map(attrgetter(*names), records))
 
 
 def write_metrics_csv(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_METRICS_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.step,
-                    r.mode,
-                    r.strategy,
-                    fmt17(r.prior_width_m),
-                    r.subset,
-                    r.state,
-                    fmt17(r.log_loss_vs_observer),
-                    fmt17(r.log_loss_vs_truth),
-                    fmt17(r.var_p_median),
-                ]
-            )
+    """Log-loss and variance summaries per experiment step: MetricsRecords."""
+    _write_records(path, MetricsRecord, records)
 
 
 def write_trajectory_csv(path, records) -> None:
     """GP hyperparameters and log marginal likelihood per experiment step."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRAJECTORY_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.mode, r.strategy, fmt17(r.prior_width_m), r.step]
-                + [fmt17(getattr(r, c)) for c in _KERNEL_COLUMNS]
-                + [fmt17(r.log_marginal_likelihood)]
-            )
+    _write_records(path, TrajectoryRecord, records)
 
 
 def write_update_trajectory_csv(path, params, lml) -> None:
     """The one hyperparameter row of ``fragfield update --mode gp``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_KERNEL_COLUMNS + ("log_marginal_likelihood",))
-        writer.writerow(
-            [fmt17(getattr(params, c)) for c in _KERNEL_COLUMNS] + [fmt17(lml)]
-        )
+    header = [f.name for f in fields(params)] + ["log_marginal_likelihood"]
+    _write_csv(path, header, [[*astuple(params), lml]])
 
 
 def write_gp_field_csv(path, fs: FieldState, mean_p, var_p) -> None:
@@ -342,7 +310,7 @@ def write_gp_field_csv(path, fs: FieldState, mean_p, var_p) -> None:
         writer.writerows(
             zip(
                 _repeat(fs.ids, fs.n_states),
-                list(fs.states) * fs.n_buildings,
+                list(STATES) * fs.n_buildings,
                 _fmt17_column(mean_p),
                 _fmt17_column(var_p),
             )

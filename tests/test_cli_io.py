@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from fragfield.cli import main, scenario_from_dict
 from fragfield.errors import ConfigError, InvalidInputError
-from fragfield.experiment import default_config
+from fragfield.experiment import ObserverModel, ScenarioConfig, default_config
 from fragfield.field_state import STATES, FieldState
 from fragfield.gp_field import (
     EXACT_SOLVE_CAP,
@@ -23,6 +24,7 @@ from fragfield.gp_field import (
     FieldPoints,
     log_marginal_likelihood,
 )
+from fragfield.hazard import TornadoTrack
 from fragfield.io import (
     RunManifest,
     check_keys,
@@ -237,12 +239,32 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="n_bildings"):
             scenario_from_dict({"schema_version": 1, "n_bildings": 3})
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"observer": {"typo": 1}}, "observer.typo"),
+            ({"gp_budgets": {"gp_cold_restarts": 1}}, "gp_budgets.gp_cold_restarts"),
+            ({"true_track": {"v_cor": 1}}, "true_track.v_cor"),
+        ],
+    )
+    def test_unknown_key_named_by_its_path(self, doc, where):
+        with pytest.raises(ConfigError, match=rf"unknown config key\(s\): {where}$"):
+            scenario_from_dict({"schema_version": 1, **doc})
+
     def test_shipped_default_config_in_sync(self):
         here = os.path.dirname(os.path.abspath(__file__))
         path = os.path.join(here, "..", "configs", "default_experiment.json")
         with open(path) as fh:
             doc = json.load(fh)
         assert scenario_from_dict(doc) == default_config()
+        # the file shows every key the parser accepts, with its default
+        scenario = [f.name for f in fields(ScenarioConfig)]
+        top = {name for name in scenario if not name.startswith("gp_")}
+        assert set(doc) == top | {"schema_version", "gp_budgets"}
+        assert set(doc["observer"]) == {f.name for f in fields(ObserverModel)}
+        budgets = {name[3:] for name in scenario if name.startswith("gp_")}
+        assert set(doc["gp_budgets"]) == budgets
+        assert set(doc["true_track"]) == {f.name for f in fields(TornadoTrack)}
 
 
 class TestManifest:
@@ -275,7 +297,7 @@ def _ref_write_field_csv(path, fs):
             ["building_id", "x", "y", "archetype", "state", "mu", "sigma2", "m", "var_p"]
         )
         for i, bid in enumerate(fs.ids):
-            for j, state in enumerate(fs.states):
+            for j, state in enumerate(STATES):
                 writer.writerow(
                     [
                         bid,
@@ -296,7 +318,7 @@ def _ref_write_field_geojson(path, fs):
     features = []
     for i, bid in enumerate(fs.ids):
         props = {"building_id": bid, "archetype": int(fs.archetype[i])}
-        for j, state in enumerate(fs.states):
+        for j, state in enumerate(STATES):
             props[f"m_{state}"] = float(m[i, j])
             props[f"var_p_{state}"] = float(var_p[i, j])
             props[f"mu_{state}"] = float(fs.mu[i, j])
@@ -323,7 +345,7 @@ def _ref_write_gp_field_csv(path, fs, gp):
         writer = csv.writer(fh)
         writer.writerow(["building_id", "state", "m", "var_p"])
         for i, bid in enumerate(fs.ids):
-            for j, state in enumerate(fs.states):
+            for j, state in enumerate(STATES):
                 writer.writerow([bid, state, fmt17(mean_p[i, j]), fmt17(var_p[i, j])])
 
 
@@ -607,6 +629,29 @@ class TestCmdPrior:
         cfg = tmp_path / "prior.json"
         cfg.write_text(json.dumps(doc))
         assert main(["prior", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("value", [5, ["a"], None], ids=["number", "list", "null"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("prior", "inventory"),
+        ("prior", "table"),
+        ("update", "field"),
+        ("update", "observations"),
+        ("update", "weights"),
+    ],
+)
+def test_path_key_not_a_string_exit_2(tmp_path, capsys, command, key, value):
+    """A file key that is not a string exits 2 naming the key, in --dry-run too."""
+    if command == "prior":
+        cfg = _prior_config(tmp_path, extra={key: value})
+    else:
+        cfg, _ = _update_fixture(tmp_path, obs_rows=[], extra={key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--dry-run"]) == 2
+    assert f"error: {key} must be a path string, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _update_fixture(
@@ -1108,6 +1153,26 @@ class TestCmdExperiment:
             argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
             assert main(argv + extra) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("axis", ["strategies", "modes"])
+    @pytest.mark.parametrize("entry", [["random"], {"a": 1}], ids=["list", "object"])
+    def test_sweep_axis_entry_not_a_name_exit_2(self, tmp_path, capsys, axis, entry):
+        """A list or object on a sweep axis is an unknown value of that axis."""
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"schema_version": 1, axis: [entry]}))
+        argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--dry-run"]) == 2
+        assert f"error: unknown {axis} [{entry!r}]" in capsys.readouterr().err
+
+    def test_local_only_trajectory_is_its_header(self, tmp_path):
+        """No GP fit, no trajectory rows: trajectory.csv still names its columns."""
+        cfg = _experiment_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").read_bytes() == (
+            b"mode,strategy,prior_width_m,step,sigma2_global,ell1,ell2,rho_a,"
+            b"alpha_local,tau,log_marginal_likelihood\r\n"
+        )
 
     def test_dry_run_rejects_more_batches_than_observed(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"

@@ -21,9 +21,9 @@ from fragfield.gp_field import (
     kernel_matrix,
     log_marginal_likelihood,
     ordinality_violation_count,
-    posterior_to_probability,
     sparse_variational_posterior,
 )
+from fragfield.probit_normal import pn_moments_vec
 
 
 def pt(i, j, x, y, arch=1, z=0.0, noise=1.0):
@@ -572,7 +572,7 @@ class TestSparseVariational:
 class TestPosteriorToProbability:
     def test_examples(self):
         post = GpPosterior(mean=np.array([0.0, 0.0, 3.0]), var=np.array([0.0, 1.0, 0.01]))
-        m, zeta = posterior_to_probability(post)
+        m, zeta = pn_moments_vec(post.mean, post.var)
         assert m[0] == pytest.approx(0.5)
         assert zeta[0] == pytest.approx(0.0, abs=1e-12)
         assert m[1] == pytest.approx(0.5)
