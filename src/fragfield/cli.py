@@ -7,7 +7,10 @@ resolve against the config file's directory.  Exit codes: 0 success, 2
 input/config error, 3 numerical failure.
 
 Randomness uses NumPy's seeded PCG64 generator throughout, so identical
-configs and seeds reproduce bit-identical outputs across platforms.
+configs and seeds reproduce bit-identical outputs on the same BLAS build
+with the same BLAS thread count.  The GP outputs depend on both: OpenBLAS's
+threaded Cholesky (``dpotrf``) rounds differently from its single-threaded
+one.
 """
 
 from __future__ import annotations

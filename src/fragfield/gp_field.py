@@ -30,10 +30,13 @@ computed from the same Cholesky factor of K + diag(noise) as the posterior
 moments, so reporting a fitted GP takes one factorisation; it assembles K a
 second time for the moments, because the factor overwrote the first.
 Hyperparameters are fit by maximizing the log marginal likelihood with a
-derivative-free simplex search in a log/logit-transformed space.  A collapsed
-variational inducing-point posterior (``sparse_variational_posterior``) is
-available as a library function only: no CLI command reaches it, and it has
-no hyperparameter fit of its own; its ``log_evidence`` is the collapsed bound.
+derivative-free simplex search in a log/logit-transformed space:
+``_nelder_mead``, the adaptive Nelder–Mead of scipy.optimize written out
+here step for step, so a fit returns scipy's bits without loading
+scipy.optimize.  A collapsed variational inducing-point posterior
+(``sparse_variational_posterior``) is available as a library function only:
+no CLI command reaches it, and it has no hyperparameter fit of its own; its
+``log_evidence`` is the collapsed bound.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# scipy.linalg and scipy.optimize are imported inside the functions that use
-# them: every CLI call is a fresh process, and `prior` and `update --mode
-# local` never reach the GP, so they should not pay for loading them
+# scipy.linalg is imported inside the functions that use it: every CLI call
+# is a fresh process, and `prior` and `update --mode local` never reach the
+# GP, so they should not pay for loading it
 from .cluster import kmeans
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -403,6 +406,60 @@ def _from_vector(t: np.ndarray, base: CompositeKernelParams) -> CompositeKernelP
     )
 
 
+def _nelder_mead(f, simplex, max_iter, xatol, fatol):
+    """Minimize ``f`` from ``simplex``, an (n + 1, n) array of vertices, by
+    the adaptive Nelder–Mead of Gao & Han (2012); returns ``(x, f(x))``.
+
+    This is scipy.optimize's ``minimize(method="Nelder-Mead", adaptive=True,
+    initial_simplex=simplex)`` with ``maxiter=max_iter`` (scipy 1.17) written
+    out expression for expression: the same coefficients, centroid, branch
+    order, ``<``/``<=`` tie rules and argsort passes, so it evaluates ``f``
+    at the same points in the same order and returns the same bits.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < max_iter:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], fsim[0]
+
+
 def fit_hyperparameters(
     points: FieldPoints,
     init: CompositeKernelParams,
@@ -422,8 +479,6 @@ def fit_hyperparameters(
     evaluated there.  The returned parameters never score below ``init``.
     Deterministic for a fixed seed.
     """
-    from scipy.optimize import minimize
-
     # init is scored at its own vector image, which is also the first
     # vertex of the first restart's simplex, so that point is solved once
     t0 = _to_vector(init)
@@ -444,24 +499,13 @@ def fit_hyperparameters(
     best_params, best_val = init, base_val
     for r in range(max(restarts, 1)):
         start = t0 if r == 0 else t0 + 0.5 * rng.standard_normal(t0.shape)
-        # explicit simplex: scipy's default steps vanish for zero coordinates
+        # steps of 0.5 on every axis: steps proportional to the start (as in
+        # scipy's default simplex) would vanish for zero coordinates
         # (log 1 = logit 0.5 = 0), freezing those hyperparameters entirely
         simplex = np.vstack([start, start + 0.5 * np.eye(len(start))])
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": max_iter,
-                "xatol": xatol,
-                "fatol": tol,
-                "adaptive": True,
-                "initial_simplex": simplex,
-            },
-        )
-        # scipy returns x = sim[0] with fun = fsim[0], the objective at x
-        if res.fun < _FAILED and -res.fun > best_val:
-            best_params, best_val = _from_vector(res.x, init), -res.fun
+        x, fun = _nelder_mead(objective, simplex, max_iter, xatol, tol)
+        if fun < _FAILED and -fun > best_val:
+            best_params, best_val = _from_vector(x, init), -fun
     return best_params
 
 

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf
+from scipy.optimize import minimize
 
 from fragfield import gp_field
 from fragfield.cluster import balanced_kmeans, kmeans
@@ -395,6 +398,162 @@ class TestInPlaceFactor:
             log_marginal_likelihood(pts, CompositeKernelParams(ell1=1e-200))
 
 
+# the statement that runs only on each branch of _nelder_mead's loop
+NM_BRANCHES = {
+    "expansion": "xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]",
+    "outside contraction": "xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]",
+    "inside contraction": "xc = (1 - psi) * xbar + psi * sim[-1]",
+    "shrink": "fsim[j] = f(sim[j])",
+    "tolerance stop": "break",
+}
+
+
+def nm_branches_taken(*args):
+    """Run _nelder_mead(*args) and name the branches of NM_BRANCHES it took."""
+    func = gp_field._nelder_mead
+    lines, first = inspect.getsourcelines(func)
+    text = {first + k: line.strip() for k, line in enumerate(lines)}
+    hit = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not func.__code__:
+            return None
+        if event == "line":
+            hit.add(text[frame.f_lineno])
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(None)
+    assert set(NM_BRANCHES.values()) <= set(text.values())
+    return {name for name, stmt in NM_BRANCHES.items() if stmt in hit}
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def quadratic(x):
+    return float(np.sum(np.arange(1, len(x) + 1) * (x - 0.3) ** 2))
+
+
+def kinked(x):
+    return float(np.sum(np.abs(x - 0.1)) + 0.5 * np.max(np.abs(x)))
+
+
+def walled(x):
+    """A bowl behind a wall of the fit's failure sentinel."""
+    return gp_field._FAILED if x[0] > 0.4 else float(np.sum((x + 0.5) ** 2))
+
+
+# (objective, simplex, max_iter, xatol, fatol): together the cases take every
+# branch of the loop; the last two shrink, and the last starts with three
+# vertices behind the wall
+NM_CASES = [
+    (rosenbrock, np.array([[-1.2, 1.0], [-0.7, 1.0], [-1.2, 1.5]]), 400, 1e-8, 1e-8),
+    (rosenbrock, np.array([[-1.2, 1.0], [-0.7, 1.0], [-1.2, 1.5]]), 60, 1e-4, 1e-6),
+    (quadratic, np.vstack([np.zeros(6), 0.5 * np.eye(6)]), 500, 1e-4, 1e-6),
+    (quadratic, np.vstack([np.zeros(6), 0.5 * np.eye(6)]), 1, 1e-4, 1e-6),
+    (kinked, np.vstack([np.ones(3), np.ones(3) + 0.5 * np.eye(3)]), 300, 1e-6, 1e-8),
+    (rosenbrock, np.array([[1.5, 1.4], [-0.6, 1.4], [1.2, 1.1]]), 200, 1e-4, 1e-6),
+    (
+        walled,
+        np.array(
+            [
+                [1.4, -0.1, -0.7, 0.6],
+                [1.3, 0.1, 1.4, 0.2],
+                [0.1, 0.6, 1.5, 1.4],
+                [0.2, 0.9, 0.2, 0.3],
+                [1.0, 0.0, 0.8, 0.8],
+            ]
+        ),
+        200,
+        1e-4,
+        1e-6,
+    ),
+]
+
+
+class TestNelderMead:
+    """_nelder_mead against scipy.optimize's adaptive Nelder–Mead."""
+
+    @pytest.mark.parametrize("case", range(len(NM_CASES)))
+    def test_same_points_and_result_as_scipy(self, case):
+        f, simplex, max_iter, xatol, fatol = NM_CASES[case]
+        ours, theirs = [], []
+
+        def spy(calls):
+            def g(x):
+                calls.append(np.array(x))
+                return f(x)
+
+            return g
+
+        x, fun = gp_field._nelder_mead(spy(ours), simplex, max_iter, xatol, fatol)
+        res = minimize(
+            spy(theirs),
+            simplex[0],
+            method="Nelder-Mead",
+            options={
+                "maxiter": max_iter,
+                "xatol": xatol,
+                "fatol": fatol,
+                "adaptive": True,
+                "initial_simplex": simplex,
+            },
+        )
+        assert np.array_equal(x, res.x)
+        assert fun == res.fun
+        assert len(ours) == len(theirs) == res.nfev
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+    def test_cases_take_every_branch(self):
+        taken = set()
+        for f, simplex, max_iter, xatol, fatol in NM_CASES:
+            taken |= nm_branches_taken(f, simplex, max_iter, xatol, fatol)
+        assert taken == set(NM_BRANCHES)
+        assert "shrink" in nm_branches_taken(*NM_CASES[-1])
+        assert sum(walled(v) == gp_field._FAILED for v in NM_CASES[-1][1]) == 3
+
+
+def reference_fit(points, init, *, restarts, max_iter, tol=1e-6, xatol=1e-4, seed=0):
+    """fit_hyperparameters as it ran on scipy.optimize.minimize."""
+    t0 = gp_field._to_vector(init)
+    base_val = log_marginal_likelihood(points, gp_field._from_vector(t0, init))
+
+    def objective(t):
+        if np.array_equal(t, t0):
+            return -base_val
+        try:
+            val = -log_marginal_likelihood(points, gp_field._from_vector(t, init))
+        except (NumericalFailureError, InvalidInputError):
+            return gp_field._FAILED
+        return val if math.isfinite(val) else gp_field._FAILED
+
+    rng = np.random.default_rng(seed)
+    best_params, best_val = init, base_val
+    for r in range(max(restarts, 1)):
+        start = t0 if r == 0 else t0 + 0.5 * rng.standard_normal(t0.shape)
+        simplex = np.vstack([start, start + 0.5 * np.eye(len(start))])
+        res = minimize(
+            objective,
+            start,
+            method="Nelder-Mead",
+            options={
+                "maxiter": max_iter,
+                "xatol": xatol,
+                "fatol": tol,
+                "adaptive": True,
+                "initial_simplex": simplex,
+            },
+        )
+        if res.fun < gp_field._FAILED and -res.fun > best_val:
+            best_params, best_val = gp_field._from_vector(res.x, init), -res.fun
+    return best_params
+
+
 class TestFitHyperparameters:
     def test_improves_or_matches_init(self):
         rng = np.random.default_rng(21)
@@ -429,6 +588,25 @@ class TestFitHyperparameters:
         fit_hyperparameters(pts, init, restarts=1, max_iter=30)
         assert seen[0] == gp_field._from_vector(gp_field._to_vector(init), init)
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_same_fit_and_solves_as_scipy_minimize(self, monkeypatch, restarts):
+        solves = []
+        solve = gp_field._exact_solve
+
+        def spy(points, params):
+            solves.append(params)
+            return solve(points, params)
+
+        monkeypatch.setattr(gp_field, "_exact_solve", spy)
+        rng = np.random.default_rng(24)
+        pts = grid_points(rng, 12)
+        init = gp_field.data_informed_init(pts)
+        fitted = fit_hyperparameters(pts, init, restarts=restarts, max_iter=60, seed=3)
+        ours, solves[:] = list(solves), []
+        expected = reference_fit(pts, init, restarts=restarts, max_iter=60, seed=3)
+        assert fitted == expected
+        assert ours == solves
 
     def test_single_point_returns_init_when_no_uphill(self):
         p = CompositeKernelParams()

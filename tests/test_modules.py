@@ -1,6 +1,7 @@
 """Every fragfield module imports, and every name its ``__all__`` lists exists.
 
-The commands that never reach the GP load numpy and scipy.special only.
+The commands that never reach the GP load numpy and scipy.special only; the
+GP paths add scipy.linalg, and none loads scipy.optimize.
 """
 
 import importlib
@@ -43,7 +44,10 @@ print(json.dumps([codes, sorted(m for m in heavy if m in sys.modules)]))
 """
 
 
-def test_commands_off_the_gp_load_no_heavy_scipy(tmp_path):
+@pytest.fixture
+def inputs(tmp_path):
+    """A 3-building inventory, its observations and weights, and one config
+    per command; ``run(command, config, *extra)`` builds a CLI argv."""
     (tmp_path / "inventory.csv").write_text(
         "building_id,x,y,archetype\nb0,5000,100,1\nb1,5000,1200,7\nb2,9000,-2000,12\n"
     )
@@ -72,6 +76,12 @@ def test_commands_off_the_gp_load_no_heavy_scipy(tmp_path):
         },
         "experiment": {"n_buildings": 20},  # both modes by default
         "local_experiment": {"n_buildings": 20, "modes": ["local-only"]},
+        "gp_experiment": {
+            "n_buildings": 12,
+            "modes": ["gp-enabled"],
+            "n_batches": 2,
+            "gp_budgets": {"cold_max_iter": 3, "warm_max_iter": 2},
+        },
     }
     for name, doc in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({"schema_version": 1, **doc}))
@@ -80,15 +90,12 @@ def test_commands_off_the_gp_load_no_heavy_scipy(tmp_path):
         cfg, out = str(tmp_path / f"{config}.json"), str(tmp_path / config)
         return [command, "--config", cfg, "--out", out, *extra]
 
-    argvs = [
-        run("prior", "prior", "--dry-run"),
-        run("prior", "prior"),
-        run("update", "update", "--dry-run"),
-        run("update", "update"),
-        run("update", "gp_update", "--dry-run"),
-        run("experiment", "experiment", "--dry-run"),
-        run("experiment", "local_experiment"),
-    ]
+    return tmp_path, run
+
+
+def cold_start(argvs):
+    """(exit codes, heavy scipy subpackages loaded) of one fresh interpreter
+    that runs ``argvs`` in turn."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fragfield.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -98,6 +105,33 @@ def test_commands_off_the_gp_load_no_heavy_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs), proc.stderr
-    assert loaded == []
+    return loaded
+
+
+def test_commands_off_the_gp_load_no_heavy_scipy(inputs):
+    tmp_path, run = inputs
+    argvs = [
+        run("prior", "prior", "--dry-run"),
+        run("prior", "prior"),
+        run("update", "update", "--dry-run"),
+        run("update", "update"),
+        run("update", "gp_update", "--dry-run"),
+        run("experiment", "experiment", "--dry-run"),
+        run("experiment", "local_experiment"),
+    ]
+    assert cold_start(argvs) == []
     assert (tmp_path / "update" / "field.csv").exists()
     assert (tmp_path / "local_experiment" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["update", "experiment"])
+def test_gp_commands_load_linalg_but_not_optimize(inputs, command):
+    tmp_path, run = inputs
+    if command == "update":
+        argvs = [run("prior", "prior"), run("update", "gp_update")]
+        written = tmp_path / "gp_update" / "gp_field.csv"
+    else:
+        argvs = [run("experiment", "gp_experiment")]
+        written = tmp_path / "gp_experiment" / "trajectory.csv"
+    assert cold_start(argvs) == ["scipy.linalg"]
+    assert written.exists()
