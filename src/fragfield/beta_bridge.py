@@ -13,7 +13,9 @@ Chaining the cycle over batches is algebraically identical to accumulating
 relies on that: both hand their cells to ``update_cells``, which runs one
 cycle per cell.  The runner gives each cell its single observation of a
 batch, and ``update`` folds all of one call's observations of a cell into
-one cycle.
+one cycle.  ``cells_without_surrogate`` finds, before any cell is updated,
+the cells whose prior a cycle would reject, so ``update --dry-run`` rejects
+what the real run rejects.
 
 kl_pn_beta quantifies the information loss of the surrogate swap by direct
 quadrature of the densities over the whole probit axis z = Phi^-1(x).  The
@@ -41,7 +43,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .probit_normal import PnMarginal, PnMoments, pn_from_moments, pn_moments
+from .probit_normal import PnMarginal, PnMoments, _moments, pn_from_moments, pn_moments
 
 __all__ = [
     "BetaSurrogate",
@@ -51,6 +53,7 @@ __all__ = [
     "beta_moments",
     "local_update_cycle",
     "update_cells",
+    "cells_without_surrogate",
     "kl_pn_beta",
     "ZETA_FLOOR",
 ]
@@ -154,6 +157,29 @@ def update_cells(mu, sigma2, cells) -> None:
         post = local_update_cycle(PnMarginal(mu=mu[i, j], sigma2=sigma2[i, j]), batch)
         mu[i, j] = post.mu
         sigma2[i, j] = post.sigma2
+
+
+def cells_without_surrogate(mu, sigma2, cells) -> list:
+    """The cells among ``cells``, (i, j) pairs, that ``update_cells`` cannot update.
+
+    Such a cell's prior moments, zeta floored at ZETA_FLOOR as
+    ``local_update_cycle`` floors it, have no Beta surrogate.  Every finite
+    PN law has zeta < m(1-m) in exact arithmetic, but a huge sigma2 or |mu|
+    rounds it to the edge.  The moments are computed in one array pass, to
+    the bits of the scalar ones, and tested by ``beta_from_pn_moments``.
+    """
+    cells = sorted(cells)
+    if not cells:
+        return []
+    rows, cols = zip(*cells)
+    m, zeta = _moments(mu[rows, cols], sigma2[rows, cols])
+    bad = []
+    for cell, m_k, zeta_k in zip(cells, m.tolist(), zeta.tolist()):
+        try:
+            beta_from_pn_moments(PnMoments(m_k, max(zeta_k, ZETA_FLOOR)))
+        except InvalidInputError:
+            bad.append(cell)
+    return bad
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -21,7 +21,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import __version__
-from .beta_bridge import WeightedObservation, update_cells
+from .beta_bridge import WeightedObservation, cells_without_surrogate, update_cells
 from .errors import ConfigError, InvalidInputError, NumericalFailureError, check_number
 from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
 from .field_state import STATES
@@ -196,7 +196,8 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         )
         for key, default in _GP_BUDGET.items()
     }
-    fs = read_field_csv(_resolve(doc, "field", config_path))
+    field_path = _resolve(doc, "field", config_path)
+    fs = read_field_csv(field_path)
     if mode == "gp" and fs.mu.size > EXACT_SOLVE_CAP:
         raise InvalidInputError(
             f"gp mode takes at most {EXACT_SOLVE_CAP // fs.n_states} buildings "
@@ -206,6 +207,15 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     observations = read_observations_csv(_resolve(doc, "observations", config_path))
     weights = read_weights_csv(_resolve(doc, "weights", config_path))
     grouped = _group_observations(fs, observations, weights)
+    stuck = cells_without_surrogate(fs.mu, fs.sigma2, grouped)
+    if stuck:
+        i, j = stuck[0]
+        raise InvalidInputError(
+            f"{field_path}: {len(stuck)} observed cell(s) have a prior with no Beta "
+            f"surrogate (zeta >= m(1-m) in floating point); first: building "
+            f"{fs.ids[i]}, state {STATES[j]} (mu={float(fs.mu[i, j])!r}, "
+            f"sigma2={float(fs.sigma2[i, j])!r})"
+        )
     if dry_run:
         return 0
 

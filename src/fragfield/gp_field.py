@@ -251,7 +251,8 @@ def _kernel(
     s = buf[:-1].reshape(n_sites_a, n_sites_b)
     np.exp(-0.5 * (geom.dx2 / params.ell1**2 + geom.dy2 / params.ell2**2), out=s)
     s *= params.sigma2_global
-    s[geom.arch_diff] *= params.rho_a
+    # a dense multiply beats a boolean-mask update, and x * 1.0 is exact
+    s *= np.where(geom.arch_diff, params.rho_a, 1.0)
     # every index is in range; the default mode="raise" would gather into a
     # temporary and copy it to ``out``, where "clip" writes straight into it
     k = buf.take(geom.take, out=out, mode="clip")

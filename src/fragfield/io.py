@@ -8,9 +8,11 @@ foreign member set to true.  Configs are single JSON documents with an
 explicit ``schema_version``; unknown keys are rejected with their field
 path.  Run manifests record a content digest for every emitted file.
 
-The field writers format whole columns at once and stay byte-stable: the
-CSV writers spell each float as ``fmt17`` does, and the GeoJSON writer
-writes exactly what ``json.dump(doc, indent=2, sort_keys=True)`` would.
+The field writers format and write one block of ``_WRITE_BLOCK`` buildings
+at a time, whole columns of the block at once, so their transient memory is
+bounded whatever the field's size.  They stay byte-stable: the CSV writers
+spell each float as ``fmt17`` does, and the GeoJSON writer writes exactly
+what ``json.dump(doc, indent=2, sort_keys=True)`` would.
 The field CSV and GeoJSON writers take the cells' probability moments
 from the caller, which computes them once for the pair.
 Every CSV input is read through ``_csv_rows``, which checks the header,
@@ -89,6 +91,15 @@ def _repeat(values, k) -> list:
     return [v for v in values for _ in range(k)]
 
 
+# buildings per block of the field writers
+_WRITE_BLOCK = 256
+
+
+def _blocks(n):
+    """Consecutive slices of at most _WRITE_BLOCK rows that cover ``range(n)``."""
+    return [slice(start, start + _WRITE_BLOCK) for start in range(0, n, _WRITE_BLOCK)]
+
+
 def write_field_csv(path, fs: FieldState, m, var_p) -> None:
     """One row per (building, state): id, geometry, PN cell, probability moments.
 
@@ -99,19 +110,21 @@ def write_field_csv(path, fs: FieldState, m, var_p) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_FIELD_COLUMNS)
-        writer.writerows(
-            zip(
-                _repeat(fs.ids, d),
-                _repeat(_fmt17_column(fs.x), d),
-                _repeat(_fmt17_column(fs.y), d),
-                _repeat(fs.archetype.tolist(), d),
-                list(STATES) * fs.n_buildings,
-                _fmt17_column(fs.mu),
-                _fmt17_column(fs.sigma2),
-                _fmt17_column(m),
-                _fmt17_column(var_p),
+        for b in _blocks(fs.n_buildings):
+            ids = fs.ids[b]
+            writer.writerows(
+                zip(
+                    _repeat(ids, d),
+                    _repeat(_fmt17_column(fs.x[b]), d),
+                    _repeat(_fmt17_column(fs.y[b]), d),
+                    _repeat(fs.archetype[b].tolist(), d),
+                    list(STATES) * len(ids),
+                    _fmt17_column(fs.mu[b]),
+                    _fmt17_column(fs.sigma2[b]),
+                    _fmt17_column(m[b]),
+                    _fmt17_column(var_p[b]),
+                )
             )
-        )
 
 
 def _csv_rows(path, required, optional=()):
@@ -234,14 +247,9 @@ def write_field_geojson(path, fs: FieldState, m, var_p) -> None:
     from one template, so no document is built in memory.  ``m, var_p``
     are the probability moments, as for ``write_field_csv``.
     """
-    props = {
-        "building_id": list(map(encode_basestring_ascii, fs.ids)),
-        "archetype": list(map(int.__repr__, fs.archetype.tolist())),
-    }
-    for q, values in zip(_GEO_QUANTITIES, (m, var_p, fs.mu, fs.sigma2)):
-        for j, state in enumerate(STATES):
-            props[f"{q}_{state}"] = _json_floats(values[:, j])
-    keys = sorted(props)
+    keys = sorted(
+        ["building_id", "archetype", *(f"{q}_{s}" for q in _GEO_QUANTITIES for s in STATES)]
+    )
     feature = "\n".join(
         [
             "    {",
@@ -259,12 +267,22 @@ def write_field_geojson(path, fs: FieldState, m, var_p) -> None:
             "    }",
         ]
     )
-    rows = zip(_json_floats(fs.x), _json_floats(fs.y), *(props[k] for k in keys))
     with open(path, "w") as fh:
         fh.write('{\n  "features": [')
+        sep = "\n"
+        for b in _blocks(fs.n_buildings):
+            props = {
+                "building_id": list(map(encode_basestring_ascii, fs.ids[b])),
+                "archetype": list(map(int.__repr__, fs.archetype[b].tolist())),
+            }
+            for q, values in zip(_GEO_QUANTITIES, (m, var_p, fs.mu, fs.sigma2)):
+                for j, state in enumerate(STATES):
+                    props[f"{q}_{state}"] = _json_floats(values[b, j])
+            xs, ys = _json_floats(fs.x[b]), _json_floats(fs.y[b])
+            for row in zip(xs, ys, *(props[k] for k in keys)):
+                fh.write(sep + feature % row)
+                sep = ",\n"
         if fs.n_buildings:
-            fh.write("\n" + feature % next(rows))
-            fh.writelines(",\n" + feature % row for row in rows)
             fh.write("\n  ")
         fh.write('],\n  "planar_coordinates": true,\n  "type": "FeatureCollection"\n}\n')
 
@@ -304,17 +322,22 @@ def write_gp_field_csv(path, fs: FieldState, mean_p, var_p) -> None:
 
     ``mean_p, var_p`` hold one value per cell of ``fs``, in its C order.
     """
+    d = fs.n_states
+    mean_p = np.reshape(mean_p, (fs.n_buildings, d))
+    var_p = np.reshape(var_p, (fs.n_buildings, d))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["building_id", "state", "m", "var_p"])
-        writer.writerows(
-            zip(
-                _repeat(fs.ids, fs.n_states),
-                list(STATES) * fs.n_buildings,
-                _fmt17_column(mean_p),
-                _fmt17_column(var_p),
+        for b in _blocks(fs.n_buildings):
+            ids = fs.ids[b]
+            writer.writerows(
+                zip(
+                    _repeat(ids, d),
+                    list(STATES) * len(ids),
+                    _fmt17_column(mean_p[b]),
+                    _fmt17_column(var_p[b]),
+                )
             )
-        )
 
 
 def read_inventory_csv(path):

@@ -26,6 +26,7 @@ from fragfield.gp_field import (
 )
 from fragfield.hazard import TornadoTrack
 from fragfield.io import (
+    _WRITE_BLOCK,
     RunManifest,
     check_keys,
     fmt17,
@@ -394,8 +395,21 @@ def _non_finite_geometry_field():
     return fs, gp
 
 
+def _two_block_field():
+    # the writers work one block of _WRITE_BLOCK buildings at a time: the
+    # last building is a block of its own, and its id, a non-finite x and a
+    # non-finite GP value are spelled by that block alone
+    fs, (mean_p, var_p) = _with_gp(_toy_field(_WRITE_BLOCK + 1))
+    fs.ids[-1] = _AWKWARD_IDS[0]
+    fs.ids[0] = _AWKWARD_IDS[3]
+    fs.x[-1] = math.inf
+    mean_p[-1, 2] = math.nan
+    return fs, (mean_p, var_p)
+
+
 _BYTE_CASES = {
     "awkward": _awkward_field,
+    "two_blocks": _two_block_field,
     "one_building": _one_building_field,
     "toy": lambda: _with_gp(_toy_field(40)),
     "empty": _empty_field,
@@ -814,6 +828,27 @@ class TestCmdUpdate:
     def test_bad_mode_exit_2(self, tmp_path):
         cfg, _ = _update_fixture(tmp_path, obs_rows=[], mode="telepathy")
         assert main(["update", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_cell_without_beta_surrogate_exit_2_in_dry_run(self, tmp_path, capsys):
+        # sigma2 = 5.1e17 (a prior with eps_hazard 1e8) rounds zeta up to
+        # m(1-m); a dry run used to accept the field that the update rejects
+        fs = _toy_field()
+        fs.sigma2[1, 2] = 5.1e17
+        fs.mu[2, 0] = 40.0  # m rounds to 1
+        cfg, field_in = _update_fixture(
+            tmp_path,
+            obs_rows=[
+                ["b0", "moderate", 0.5], ["b1", "complete", 0.5], ["b2", "moderate", 0.5]
+            ],
+            field=fs,
+        )
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field_in}: 2 observed cell(s)")
+            assert "first: building b1, state complete" in err
+        assert not out.exists()
 
     def test_dry_run_writes_nothing(self, tmp_path):
         cfg, _ = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])

@@ -1,7 +1,9 @@
 """Every fragfield module imports, and every name its ``__all__`` lists exists.
 
 The commands that never reach the GP load numpy and scipy.special only; the
-GP paths add scipy.linalg, and none loads scipy.optimize.
+GP paths add scipy.linalg, and none loads scipy.optimize.  ``prior`` and
+``update --mode local`` on a 20,000-building inventory stay within a fixed
+memory budget above the import's.
 """
 
 import importlib
@@ -11,6 +13,7 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fragfield
@@ -93,18 +96,24 @@ def inputs(tmp_path):
     return tmp_path, run
 
 
-def cold_start(argvs):
-    """(exit codes, heavy scipy subpackages loaded) of one fresh interpreter
-    that runs ``argvs`` in turn."""
+def fresh(script, argvs):
+    """The JSON last line that ``script`` prints when a fresh interpreter runs
+    it on ``argvs``, and that interpreter's stderr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fragfield.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0] * len(argvs), proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def cold_start(argvs):
+    """(exit codes, heavy scipy subpackages loaded) of one fresh interpreter
+    that runs ``argvs`` in turn."""
+    (codes, loaded), stderr = fresh(_COLD_START, argvs)
+    assert codes == [0] * len(argvs), stderr
     return loaded
 
 
@@ -135,3 +144,62 @@ def test_gp_commands_load_linalg_but_not_optimize(inputs, command):
         written = tmp_path / "gp_experiment" / "trajectory.csv"
     assert cold_start(argvs) == ["scipy.linalg"]
     assert written.exists()
+
+
+# runs one command in a fresh interpreter, then reports its exit code and how
+# far its peak resident set rose above the peak of importing the CLI, in MB
+_PEAK_GROWTH = """
+import json, resource, sys
+from fragfield.cli import main
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(json.loads(sys.argv[1]))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([code, (peak - base) / 1024.0]))
+"""
+
+# the field-wide passes run in fixed-size blocks, so 20,000 buildings (60,000
+# cells) add under 2 MB to `prior` and about 12 MB to `update`; whole-field
+# quadrature temporaries and formatted columns made that 88 and 100 MB
+_GROWTH_BUDGET_MB = 40.0
+
+
+def test_prior_and_update_at_20k_buildings_within_memory_budget(tmp_path):
+    n = 20_000
+    rng = np.random.default_rng(20)
+    x = rng.uniform(0.0, 10_000.0, n).tolist()
+    y = rng.uniform(-2_500.0, 2_500.0, n).tolist()
+    arch = rng.integers(1, 20, n).tolist()
+    (tmp_path / "inventory.csv").write_text(
+        "building_id,x,y,archetype\n"
+        + "".join(f"b{k},{x[k]!r},{y[k]!r},{arch[k]}\n" for k in range(n))
+    )
+    observed = rng.choice(n, 1_000, replace=False)
+    (tmp_path / "obs.csv").write_text(
+        "building_id,state,y\n"
+        + "".join(
+            f"b{k},{state},{float(rng.uniform())!r}\n"
+            for k in observed
+            for state in ("moderate", "extensive", "complete")
+        )
+    )
+    (tmp_path / "weights.csv").write_text(
+        "state,weight\nmoderate,5\nextensive,5\ncomplete,5\n"
+    )
+    track = {"centerline": [[-500, -200], [5000, 0], [10500, 200]], "width_total": 800.0}
+    configs = {
+        "prior": {"inventory": "inventory.csv", "track": track},
+        "update": {
+            "field": "prior/field.csv",
+            "observations": "obs.csv",
+            "weights": "weights.csv",
+            "mode": "local",
+        },
+    }
+    for command, doc in configs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **doc}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        (code, growth_mb), stderr = fresh(_PEAK_GROWTH, argv)
+        assert code == 0, stderr
+        assert growth_mb < _GROWTH_BUDGET_MB, (command, growth_mb)
+    assert len((tmp_path / "update" / "field.csv").read_text().splitlines()) == 3 * n + 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from fragfield.errors import (
     InvalidInputError,
 )
 from fragfield.probit_normal import (
+    _QUAD_BLOCK,
     SIGMA2_CAP,
     PnMarginal,
     PnMoments,
     _phi2_correction_gl,
+    _phi2_correction_u,
     clip_ordinal_probit,
     latent_from_physics,
     pn_from_moments,
@@ -353,6 +356,80 @@ class TestPnFromMomentsTails:
         for k in range(len(m)):
             p = pn_from_moments(PnMoments(m[k], zeta[k]))
             assert (p.mu, p.sigma2) == (mus[k], s2s[k])
+
+
+# ---------------------------------------------------------------- blocked passes
+#
+# More than _QUAD_BLOCK rows are evaluated in blocks of one reused buffer;
+# every row must come out with the bits of a call on that row alone.
+
+_B = _QUAD_BLOCK
+_BLOCK_SIZES = [_B - 1, _B, _B + 1, 2 * _B + 3]
+
+
+def _elementwise(f, *arrays):
+    """``f`` called on each element of the broadcast ``arrays``, in C order."""
+    flat = [a.ravel() for a in np.broadcast_arrays(*arrays)]
+    return [f(*(a[k] for a in flat)) for k in range(flat[0].size)]
+
+
+def _shapes(n):
+    """(first, second) argument shapes: plain, broadcast against 0-d and
+    against a row of states, and (n, 1) against (n, 3)."""
+    return [((n,), (n,)), ((n,), ()), ((), (n,)), ((n, 3), (3,)), ((n, 1), (n, 3))]
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+class TestBlockedPasses:
+    def test_correction_rows_equal_one_row_calls(self, n):
+        rng = np.random.default_rng(n)
+        for shape_a, shape_b in _shapes(n):
+            h2 = rng.uniform(0.0, 40.0, shape_a)
+            ub = rng.uniform(0.0, 0.5 * np.pi, shape_b)
+            got = _phi2_correction_u(h2, ub)
+            assert got.shape == np.broadcast_shapes(shape_a, shape_b)
+            ref = _elementwise(_phi2_correction_u, h2, ub)
+            assert np.array_equal(got.ravel(), ref), (shape_a, shape_b)
+
+    def test_moments_equal_scalar_calls(self, n):
+        rng = np.random.default_rng(n + 1)
+        for shape_a, shape_b in _shapes(n):
+            mu = rng.uniform(-6.0, 6.0, shape_a)
+            s2 = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), shape_b))
+            m, zeta = pn_moments_vec(mu, s2)
+            assert m.shape == zeta.shape == np.broadcast_shapes(shape_a, shape_b)
+            ref = _elementwise(lambda a, b: pn_moments(PnMarginal(a, b)), mu, s2)
+            where = (shape_a, shape_b)
+            assert np.array_equal(m.ravel(), [mo.m for mo in ref]), where
+            assert np.array_equal(zeta.ravel(), [mo.zeta for mo in ref]), where
+
+    def test_inverse_equals_scalar_calls(self, n):
+        rng = np.random.default_rng(n + 2)
+        for shape_a, shape_b in _shapes(n):
+            # zeta below the smallest m(1-m) of the draws keeps every pair feasible
+            m = rng.uniform(0.01, 0.99, shape_a)
+            zeta = rng.uniform(0.0, 0.0099, shape_b)
+            mu, s2 = pn_from_moments_vec(m, zeta)
+            assert mu.shape == s2.shape == np.broadcast_shapes(shape_a, shape_b)
+            ref = _elementwise(lambda a, b: pn_from_moments(PnMoments(a, b)), m, zeta)
+            where = (shape_a, shape_b)
+            assert np.array_equal(mu.ravel(), [p.mu for p in ref]), where
+            assert np.array_equal(s2.ravel(), [p.sigma2 for p in ref]), where
+
+
+def test_moments_of_a_large_field_hold_bounded_memory():
+    # 60,000 cells: a whole-field quadrature held several (cells x 64)
+    # float temporaries at once, 96 MB traced
+    rng = np.random.default_rng(60)
+    mu = rng.uniform(-4.0, 4.0, (20_000, 3))
+    s2 = rng.uniform(0.0, 5.0, (20_000, 3))
+    tracemalloc.start()
+    try:
+        pn_moments_vec(mu, s2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 class TestLatentFromPhysics:
