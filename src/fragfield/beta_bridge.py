@@ -13,9 +13,7 @@ Chaining the cycle over batches is algebraically identical to accumulating
 relies on that: both hand their cells to ``update_cells``, which runs one
 cycle per cell.  The runner gives each cell its single observation of a
 batch, and ``update`` folds all of one call's observations of a cell into
-one cycle.  ``cells_without_surrogate`` finds, before any cell is updated,
-the cells whose prior a cycle would reject, so ``update --dry-run`` rejects
-what the real run rejects.
+one cycle.
 
 kl_pn_beta quantifies the information loss of the surrogate swap by direct
 quadrature of the densities over the whole probit axis z = Phi^-1(x).  The
@@ -43,7 +41,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .probit_normal import PnMarginal, PnMoments, _moments, pn_from_moments, pn_moments
+from .probit_normal import PnMarginal, PnMoments, pn_from_moments, pn_moments
 
 __all__ = [
     "BetaSurrogate",
@@ -53,7 +51,6 @@ __all__ = [
     "beta_moments",
     "local_update_cycle",
     "update_cells",
-    "cells_without_surrogate",
     "kl_pn_beta",
     "ZETA_FLOOR",
 ]
@@ -151,35 +148,20 @@ def update_cells(mu, sigma2, cells) -> None:
 
     ``mu`` and ``sigma2`` are the field's (n_buildings, n_states) arrays and
     ``cells`` yields ``((i, j), observations)`` pairs.  Each cell is updated
-    on its own, so the order of the cells does not change the result.
+    on its own, so the order of the cells does not change the result.  A
+    cell the cycle rejects stops the pass with its ``InvalidInputError``,
+    whose ``cell`` attribute is then that cell's (i, j).
     """
     for (i, j), batch in cells:
-        post = local_update_cycle(PnMarginal(mu=mu[i, j], sigma2=sigma2[i, j]), batch)
+        try:
+            post = local_update_cycle(
+                PnMarginal(mu=mu[i, j], sigma2=sigma2[i, j]), batch
+            )
+        except InvalidInputError as exc:
+            exc.cell = (i, j)
+            raise
         mu[i, j] = post.mu
         sigma2[i, j] = post.sigma2
-
-
-def cells_without_surrogate(mu, sigma2, cells) -> list:
-    """The cells among ``cells``, (i, j) pairs, that ``update_cells`` cannot update.
-
-    Such a cell's prior moments, zeta floored at ZETA_FLOOR as
-    ``local_update_cycle`` floors it, have no Beta surrogate.  Every finite
-    PN law has zeta < m(1-m) in exact arithmetic, but a huge sigma2 or |mu|
-    rounds it to the edge.  The moments are computed in one array pass, to
-    the bits of the scalar ones, and tested by ``beta_from_pn_moments``.
-    """
-    cells = sorted(cells)
-    if not cells:
-        return []
-    rows, cols = zip(*cells)
-    m, zeta = _moments(mu[rows, cols], sigma2[rows, cols])
-    bad = []
-    for cell, m_k, zeta_k in zip(cells, m.tolist(), zeta.tolist()):
-        try:
-            beta_from_pn_moments(PnMoments(m_k, max(zeta_k, ZETA_FLOOR)))
-        except InvalidInputError:
-            bad.append(cell)
-    return bad
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -21,7 +21,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import __version__
-from .beta_bridge import WeightedObservation, cells_without_surrogate, update_cells
+from .beta_bridge import WeightedObservation, update_cells
 from .errors import ConfigError, InvalidInputError, NumericalFailureError, check_number
 from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
 from .field_state import STATES
@@ -207,19 +207,16 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     observations = read_observations_csv(_resolve(doc, "observations", config_path))
     weights = read_weights_csv(_resolve(doc, "weights", config_path))
     grouped = _group_observations(fs, observations, weights)
-    stuck = cells_without_surrogate(fs.mu, fs.sigma2, grouped)
-    if stuck:
-        i, j = stuck[0]
+    # before the dry-run return, so a dry run rejects what the update rejects
+    try:
+        update_cells(fs.mu, fs.sigma2, grouped.items())
+    except InvalidInputError as exc:
+        i, j = exc.cell
         raise InvalidInputError(
-            f"{field_path}: {len(stuck)} observed cell(s) have a prior with no Beta "
-            f"surrogate (zeta >= m(1-m) in floating point); first: building "
-            f"{fs.ids[i]}, state {STATES[j]} (mu={float(fs.mu[i, j])!r}, "
-            f"sigma2={float(fs.sigma2[i, j])!r})"
-        )
+            f"{field_path}: building {fs.ids[i]}, state {STATES[j]}: {exc}"
+        ) from exc
     if dry_run:
         return 0
-
-    update_cells(fs.mu, fs.sigma2, grouped.items())
 
     os.makedirs(out_dir, exist_ok=True)
     written = []

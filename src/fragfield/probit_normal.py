@@ -23,9 +23,9 @@ where C is that correction term, compared against zeta directly (never
 against zeta + m^2, which would round the upper tail away).  Its derivative
 dC/du = exp(-v^2/(1+sin u))/(2pi) is the integrand itself.
 
-The quadrature runs over a field's cells in blocks of _QUAD_BLOCK, in one
-reused buffer, so a field-wide pass (the moments of every cell, each Newton
-step of the inverse) holds a fixed-size temporary however large the field.
+The quadrature runs over a field's cells in blocks of _QUAD_BLOCK, so a
+field-wide pass (the moments of every cell, each Newton step of the inverse)
+holds fixed-size temporaries however large the field.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class PnMoments:
 # analytic on the (bounded) integration interval, so a fixed high-order rule
 # reaches machine precision and vectorizes over many (h, rho) pairs at once.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_NODES_P1 = _GL_NODES + 1.0
 
-# rows per pass of the quadrature: one (rows x 64) float buffer of 128 KiB
+# rows per pass of the quadrature: a few (rows x 64) float temporaries of
+# 128 KiB each
 _QUAD_BLOCK = 256
 
 
@@ -102,37 +102,24 @@ def _phi2_correction_u(h2, ub):
 
     64-node Gauss-Legendre on u in [0, ub].  The nodes are summed row by row
     rather than by a BLAS product, so a row's value does not depend on the
-    batch it is computed in.  Up to _QUAD_BLOCK rows are evaluated in one
-    pass; more are evaluated _QUAD_BLOCK at a time in one reused
-    (block x 64) buffer, so the transient memory stays bounded however many
-    rows there are.  Both ways run the same ufuncs on each row.
+    batch it is computed in.  More than _QUAD_BLOCK rows are evaluated
+    _QUAD_BLOCK at a time, so the transient memory stays bounded however
+    many rows there are.
     """
     if h2.shape != ub.shape:
         h2, ub = np.broadcast_arrays(h2, ub)
-    half = 0.5 * ub
-    if half.size <= _QUAD_BLOCK:
-        # the single-cell calls of the scalar update come here: temporaries
-        # cost less than the buffer's set-up at this size
-        u = half[..., None] * _GL_NODES_P1
+    if ub.size <= _QUAD_BLOCK:
+        half = 0.5 * ub
+        # u-nodes for each element: shape (..., 64)
+        u = half[..., None] * (_GL_NODES + 1.0)
         vals = np.exp(-h2[..., None] / (1.0 + np.sin(u)))
         return (half / (2.0 * np.pi)) * (vals * _GL_WEIGHTS).sum(axis=-1)
-    neg_h2 = -h2.reshape(-1, 1)
-    half = half.reshape(-1, 1)
-    out = np.empty(len(half))
-    buf = np.empty((_QUAD_BLOCK, _GL_NODES.size))
-    for start in range(0, len(half), _QUAD_BLOCK):
+    out = np.empty(ub.shape)
+    flat_out, h2, ub = out.reshape(-1), h2.reshape(-1), ub.reshape(-1)
+    for start in range(0, ub.size, _QUAD_BLOCK):
         rows = slice(start, start + _QUAD_BLOCK)
-        b = buf[: len(half[rows])]
-        # the u-nodes of each row, then the integrand at them, in place
-        np.multiply(half[rows], _GL_NODES_P1, out=b)
-        np.sin(b, out=b)
-        b += 1.0
-        np.divide(neg_h2[rows], b, out=b)
-        np.exp(b, out=b)
-        b *= _GL_WEIGHTS
-        b.sum(axis=-1, out=out[rows])
-    out *= half[:, 0] / (2.0 * np.pi)
-    return out.reshape(h2.shape)
+        flat_out[rows] = _phi2_correction_u(h2[rows], ub[rows])
+    return out
 
 
 def _phi2_correction_gl(h, rho):
@@ -152,15 +139,6 @@ def pn_moments(p: PnMarginal) -> PnMoments:
 
 def pn_moments_vec(mu, sigma2):
     """Vectorized pn_moments over arrays of (mu, sigma2)."""
-    return _moments(mu, sigma2)
-
-
-def _moments(mu, sigma2):
-    """The body of ``pn_moments_vec``, for checks inside the package.
-
-    perfbench counts ``pn_moments_vec``'s cells as the cells whose moments
-    a run reports; a check that only tests the moments calls this instead.
-    """
     mu = np.asarray(mu, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
     v = mu / np.sqrt(1.0 + sigma2)

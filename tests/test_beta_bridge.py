@@ -13,17 +13,12 @@ from fragfield.beta_bridge import (
     WeightedObservation,
     beta_from_pn_moments,
     beta_moments,
-    cells_without_surrogate,
     conjugate_update,
     kl_pn_beta,
     local_update_cycle,
     update_cells,
 )
-from fragfield.errors import (
-    DegenerateSurrogateError,
-    InfeasibleMomentsError,
-    InvalidInputError,
-)
+from fragfield.errors import DegenerateSurrogateError, InfeasibleMomentsError
 from fragfield.probit_normal import PnMarginal, PnMoments, pn_moments
 
 
@@ -351,24 +346,3 @@ class TestKl:
         mc = float(np.mean(lp - lq)) / math.log(2)
         se = float(np.std(lp - lq)) / math.sqrt(len(x)) / math.log(2)
         assert kl_pn_beta(p, b) == pytest.approx(mc, abs=4 * se + 1e-6)
-
-
-class TestCellsWithoutSurrogate:
-    def test_lists_exactly_the_cells_the_update_rejects(self):
-        # the edges of double precision: sigma2 so large that zeta rounds to
-        # m(1-m), |mu| so large that m rounds to 0 or 1 or m(1-m) falls
-        # below ZETA_FLOOR, next to ordinary cells
-        mu = np.array([[0.0, 3.0, -40.0], [6.0, 6.5, 0.3], [40.0, -6.5, 1.0]])
-        sigma2 = np.array([[1e20, 5.1e17, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1e6]])
-        cells = [(i, j) for i in range(3) for j in range(3)][::-1]
-        rejected = []
-        for i, j in sorted(cells):
-            try:
-                local_update_cycle(PnMarginal(mu[i, j], sigma2[i, j]), [obs(0.5, 1.0)])
-            except InvalidInputError:
-                rejected.append((i, j))
-        assert 0 < len(rejected) < len(cells)
-        assert cells_without_surrogate(mu, sigma2, cells) == rejected
-
-    def test_no_cells(self):
-        assert cells_without_surrogate(np.zeros((2, 3)), np.ones((2, 3)), []) == []

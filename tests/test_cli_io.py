@@ -831,24 +831,27 @@ class TestCmdUpdate:
 
     def test_cell_without_beta_surrogate_exit_2_in_dry_run(self, tmp_path, capsys):
         # sigma2 = 5.1e17 (a prior with eps_hazard 1e8) rounds zeta up to
-        # m(1-m); a dry run used to accept the field that the update rejects
+        # m(1-m); a finite weight of 1e300 rounds the posterior mean to 1.
+        # A dry run used to accept both, which the update rejects.
         fs = _toy_field()
         fs.sigma2[1, 2] = 5.1e17
-        fs.mu[2, 0] = 40.0  # m rounds to 1
-        cfg, field_in = _update_fixture(
-            tmp_path,
-            obs_rows=[
-                ["b0", "moderate", 0.5], ["b1", "complete", 0.5], ["b2", "moderate", 0.5]
-            ],
-            field=fs,
-        )
-        out = tmp_path / "out"
-        for dry in (["--dry-run"], []):
-            assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {field_in}: 2 observed cell(s)")
-            assert "first: building b1, state complete" in err
-        assert not out.exists()
+        heavy = [[s, 1e300 if s == "extensive" else 1.0] for s in STATES]
+        cases = [
+            ([["b0", "moderate", 0.5], ["b1", "complete", 0.5]], None, "b1", "complete"),
+            ([["b0", "moderate", 0.5], ["b2", "extensive", 1.0]], heavy, "b2", "extensive"),
+        ]
+        for k, (obs_rows, weight_rows, bid, state) in enumerate(cases):
+            case_dir = tmp_path / str(k)
+            case_dir.mkdir()
+            cfg, field_in = _update_fixture(
+                case_dir, obs_rows=obs_rows, weight_rows=weight_rows, field=fs
+            )
+            out = case_dir / "out"
+            for dry in (["--dry-run"], []):
+                assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {field_in}: building {bid}, state {state}: ")
+            assert not out.exists()
 
     def test_dry_run_writes_nothing(self, tmp_path):
         cfg, _ = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])

@@ -360,7 +360,7 @@ class TestPnFromMomentsTails:
 
 # ---------------------------------------------------------------- blocked passes
 #
-# More than _QUAD_BLOCK rows are evaluated in blocks of one reused buffer;
+# More than _QUAD_BLOCK rows are evaluated _QUAD_BLOCK at a time;
 # every row must come out with the bits of a call on that row alone.
 
 _B = _QUAD_BLOCK
