@@ -26,8 +26,8 @@ from .errors import ConfigError, InvalidInputError, NumericalFailureError, check
 from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
 from .field_state import STATES
 from .gp_field import (
-    EXACT_SOLVE_CAP,
     FieldPoints,
+    check_exact_size,
     data_informed_init,
     exact_posterior,
     fit_hyperparameters,
@@ -198,12 +198,8 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     }
     field_path = _resolve(doc, "field", config_path)
     fs = read_field_csv(field_path)
-    if mode == "gp" and fs.mu.size > EXACT_SOLVE_CAP:
-        raise InvalidInputError(
-            f"gp mode takes at most {EXACT_SOLVE_CAP // fs.n_states} buildings "
-            f"({EXACT_SOLVE_CAP} GP points over {fs.n_states} states); the field "
-            f"has {fs.n_buildings}"
-        )
+    if mode == "gp":
+        check_exact_size(fs.n_buildings, fs.n_states)
     observations = read_observations_csv(_resolve(doc, "observations", config_path))
     weights = read_weights_csv(_resolve(doc, "weights", config_path))
     grouped = _group_observations(fs, observations, weights)

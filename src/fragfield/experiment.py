@@ -7,16 +7,18 @@ fidelity.  Priors are built for several assumed track widths (including a
 no-information width of 0), the inventory is split 80/20, and the observed
 portion is released in batches, either randomly or as spatial groups.
 
-Each batch step performs local conjugate updates of the PN field; in
-gp-enabled mode a heteroscedastic GP over all (building, state) cells is
-fit at step 0 on the prior field, refit cold once real data arrives at
-step 1, warm-started thereafter, and its posterior (not the local cells)
-is what gets scored, so every step of a gp run is measured through the
-same lens.  The conjugate state itself
-never receives GP feedback, so evidence is counted exactly once.  A final
-extra step assimilates the holdout.  Metrics are log-loss against the
-observer's soft exceedances (primary) and against hard truth (diagnostic),
-plus posterior-variance summaries per subset.
+For each (strategy, prior width) one copy of the prior steps through the
+batches, and each batch step performs local conjugate updates of that PN
+field.  Every mode scores the one field at every step: local-only through
+the cells' own moments; gp-enabled through a heteroscedastic GP over all
+(building, state) cells, fit at step 0 on the prior field, refit cold once
+real data arrives at step 1 and warm-started thereafter, whose posterior
+(not the local cells) is what gets scored, so every step of a gp run is
+measured through the same lens.  The conjugate state never receives GP
+feedback, so evidence is counted exactly once and the modes differ only in
+how they read it.  A final extra step assimilates the holdout.  Metrics
+are log-loss against the observer's soft exceedances (primary) and against
+hard truth (diagnostic), plus posterior-variance summaries per subset.
 
 All randomness flows from named child streams of one seed, shared across
 prior widths and modes so that runs differ only where they should.
@@ -38,10 +40,10 @@ from .evidence import (
     calibrate_weights,
     exceedance_from_categorical,
 )
-from .field_state import STATES, FieldState
+from .field_state import STATES
 from .gp_field import (
-    CompositeKernelParams,
     FieldPoints,
+    check_exact_size,
     data_informed_init,
     exact_posterior,
     fit_hyperparameters,
@@ -168,6 +170,8 @@ class ScenarioConfig:
                 )
         if self.n_batches > self.n_buildings - self.n_holdout:
             raise InvalidInputError("more batches than observed buildings")
+        if "gp-enabled" in self.modes:
+            check_exact_size(self.n_buildings, len(STATES))
 
     @property
     def n_holdout(self) -> int:
@@ -416,34 +420,71 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
     }
     gp_seed = int(streams["gp"].integers(2**31))
 
-    priors = {}
-    for width in config.prior_widths:
-        track = replace(config.true_track, width_total=width)
-        priors[width] = build_prior_field(inventory, track)
+    priors = {
+        width: build_prior_field(inventory, replace(config.true_track, width_total=width))
+        for width in config.prior_widths
+    }
+    # gp fit budgets: cold fits for the prior field and the first real batch,
+    # because the all-prior fit at step 0 lands in a degenerate basin (weak
+    # pseudo-observations aggregate into one global latent) that a warm start
+    # would never escape once data arrives; warm refits after that
+    cold = dict(restarts=config.gp_cold_restarts, max_iter=config.gp_cold_max_iter)
+    warm = dict(
+        restarts=1,
+        max_iter=config.gp_warm_max_iter,
+        tol=config.gp_warm_tol,
+        xatol=config.gp_warm_xatol,
+    )
 
     metrics, trajectory, violations, finals = [], [], [], {}
     for strategy in config.strategies:
-        batches = batches_by_strategy[strategy]
         for width in config.prior_widths:
+            # one conjugate trajectory per (strategy, width), which every mode
+            # scores, so the modes see the same evidence, counted once
+            fs = priors[width].copy()
+            width = float(width)
+            rows = {mode: [] for mode in config.modes}
+            for step, batch in enumerate([(), *batches_by_strategy[strategy], holdout_rows]):
+                if step:  # each batch, then the holdout: one observation per state
+                    update_cells(
+                        fs.mu,
+                        fs.sigma2,
+                        (
+                            ((r, j), [WeightedObservation(y=float(y_obs[r, j]), weight=float(w))])
+                            for r in batch
+                            for j, w in enumerate(weights)
+                        ),
+                    )
+                for mode in config.modes:
+                    if mode == "local-only":
+                        m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
+                    else:
+                        # the GP is fit at every step, the prior field included,
+                        # so every gp row is scored through the same lens
+                        pts = FieldPoints.from_field_state(fs)
+                        init = data_informed_init(pts) if step <= 1 else gp_params
+                        budget = cold if step <= 1 else warm
+                        gp_params = fit_hyperparameters(pts, init, seed=gp_seed, **budget)
+                        post = exact_posterior(pts, gp_params)
+                        m_flat, var_flat = pn_moments_vec(post.mean, post.var)
+                        m = m_flat.reshape(fs.mu.shape)
+                        var_p = var_flat.reshape(fs.mu.shape)
+                        key = dict(mode=mode, strategy=strategy, prior_width_m=width, step=step)
+                        trajectory.append(
+                            TrajectoryRecord(
+                                **key,
+                                **asdict(gp_params),
+                                log_marginal_likelihood=post.log_evidence,
+                            )
+                        )
+                        count = ordinality_violation_count(pts, m_flat)
+                        violations.append({**key, "count": count})
+                    rows[mode] += _metrics_for(
+                        step, mode, strategy, width, m, var_p, y_obs, y_true, observed_mask
+                    )
             for mode in config.modes:
-                run_m, run_t, run_v, fs = _run_single(
-                    config,
-                    priors[width].copy(),
-                    batches,
-                    y_obs,
-                    y_true,
-                    weights,
-                    observed_mask,
-                    holdout_rows,
-                    mode,
-                    strategy,
-                    float(width),
-                    gp_seed,
-                )
-                metrics.extend(run_m)
-                trajectory.extend(run_t)
-                violations.extend(run_v)
-                finals[(float(width), strategy, mode)] = fs
+                metrics += rows[mode]
+                finals[(width, strategy, mode)] = fs
     return ExperimentResult(
         config=config,
         metrics=metrics,
@@ -454,97 +495,3 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
         calibration_f1=cal_f1,
     )
 
-
-def _run_single(
-    config,
-    fs: FieldState,
-    batches,
-    y_obs,
-    y_true,
-    weights,
-    observed_mask,
-    holdout_rows,
-    mode: str,
-    strategy: str,
-    width: float,
-    gp_seed: int,
-):
-    """One (width, strategy, mode) trajectory; returns (metrics, traj, viol, fs)."""
-    metrics, trajectory, violations = [], [], []
-    gp_params = CompositeKernelParams()
-    use_gp = mode == "gp-enabled"
-
-    def evaluate(step):
-        # gp mode keeps one evaluation layer for the whole trajectory: the GP
-        # is fit on the prior field at step 0 and refit (warm) after every
-        # batch, so successive metric rows are comparable like for like
-        if use_gp:
-            pts = FieldPoints.from_field_state(fs)
-            nonlocal gp_params
-            if step <= 1:
-                # cold fits for the prior field and the first real batch: the
-                # all-prior fit at step 0 lands in a degenerate basin (weak
-                # pseudo-observations aggregate into one global latent) that a
-                # warm start would never escape once data arrives
-                gp_params = fit_hyperparameters(
-                    pts,
-                    data_informed_init(pts),
-                    restarts=config.gp_cold_restarts,
-                    max_iter=config.gp_cold_max_iter,
-                    seed=gp_seed,
-                )
-            else:
-                gp_params = fit_hyperparameters(
-                    pts,
-                    gp_params,
-                    restarts=1,
-                    max_iter=config.gp_warm_max_iter,
-                    tol=config.gp_warm_tol,
-                    xatol=config.gp_warm_xatol,
-                    seed=gp_seed,
-                )
-            post = exact_posterior(pts, gp_params)
-            m_flat, var_flat = pn_moments_vec(post.mean, post.var)
-            m = m_flat.reshape(fs.mu.shape)
-            var_p = var_flat.reshape(fs.mu.shape)
-            trajectory.append(
-                TrajectoryRecord(
-                    mode=mode,
-                    strategy=strategy,
-                    prior_width_m=width,
-                    step=step,
-                    **asdict(gp_params),
-                    log_marginal_likelihood=post.log_evidence,
-                )
-            )
-            violations.append(
-                {
-                    "mode": mode,
-                    "strategy": strategy,
-                    "prior_width_m": width,
-                    "step": step,
-                    "count": ordinality_violation_count(pts, m_flat),
-                }
-            )
-        else:
-            m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
-        metrics.extend(
-            _metrics_for(
-                step, mode, strategy, width, m, var_p, y_obs, y_true, observed_mask
-            )
-        )
-
-    evaluate(0)
-    # each batch, then the holdout, gives every state of its rows one observation
-    for step, rows in enumerate([*batches, holdout_rows], start=1):
-        update_cells(
-            fs.mu,
-            fs.sigma2,
-            (
-                ((r, j), [WeightedObservation(y=float(y_obs[r, j]), weight=float(w))])
-                for r in rows
-                for j, w in enumerate(weights)
-            ),
-        )
-        evaluate(step)
-    return metrics, trajectory, violations, fs

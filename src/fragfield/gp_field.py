@@ -63,6 +63,7 @@ __all__ = [
     "fit_hyperparameters",
     "sparse_variational_posterior",
     "ordinality_violation_count",
+    "check_exact_size",
     "EXACT_SOLVE_CAP",
     "STATE_TIEBREAK",
 ]
@@ -308,6 +309,16 @@ def _chol_with_ladder(n: int, assemble, jitter: float) -> tuple[np.ndarray, floa
             raise NumericalFailureError(
                 f"Cholesky failed with jitter escalated to {attempt:.0e}"
             )
+
+
+def check_exact_size(n_buildings: int, n_states: int) -> None:
+    """Reject a gp run over more (building, state) points than the exact
+    solve takes; gp mode has no other posterior."""
+    if n_buildings * n_states > EXACT_SOLVE_CAP:
+        raise InvalidInputError(
+            f"gp mode takes at most {EXACT_SOLVE_CAP // n_states} buildings "
+            f"({EXACT_SOLVE_CAP} GP points over {n_states} states), got {n_buildings}"
+        )
 
 
 def _exact_solve(points: FieldPoints, params: CompositeKernelParams):

@@ -136,20 +136,21 @@ class FragilityTable:
 
     @classmethod
     def from_csv(cls, path) -> "FragilityTable":
-        from .io import _csv_rows  # io imports this module
+        from .io import _csv_rows, _parse_state  # io imports this module
 
         med: dict = {}
         disp: dict = {}
-        state_index = {s: j for j, s in enumerate(STATES)}
         for line, (arch, state, median, dispersion) in _csv_rows(
             path, ("archetype", "state", "median_mps", "dispersion")
         ):
             try:
                 arch = int(arch)
-                j = state_index[state.strip().lower()]
-                med.setdefault(arch, [None] * len(STATES))[j] = float(median)
+                j = STATES.index(_parse_state(state))
+                if med.setdefault(arch, [None] * len(STATES))[j] is not None:
+                    raise ValueError(f"second row for archetype {arch}, state {STATES[j]}")
+                med[arch][j] = float(median)
                 disp.setdefault(arch, [None] * len(STATES))[j] = float(dispersion)
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise InvalidInputError(f"{path}:{line}: {exc}") from exc
         for arch in med:
             if None in med[arch] or None in disp[arch]:
@@ -257,9 +258,15 @@ def build_prior_field(
     log_median = np.array([[math.log(m) for m in table.medians[a]] for a in archetypes])
     dispersion = np.array([table.dispersions[a] for a in archetypes], dtype=float)
     lambda_h = np.array([math.log(w) for w in v.tolist()])
-    mu, sigma2 = latent_from_physics(
-        lambda_h[:, None], eps_hazard, log_median[row], eps_capacity, dispersion[row]
-    )
+    try:
+        mu, sigma2 = latent_from_physics(
+            lambda_h[:, None], eps_hazard, log_median[row], eps_capacity, dispersion[row]
+        )
+    except InvalidInputError as exc:
+        if not hasattr(exc, "cell"):
+            raise
+        i, j = exc.cell
+        raise InvalidInputError(f"building {inventory[i].id}, state {STATES[j]}: {exc}") from exc
     return FieldState(
         ids=[b.id for b in inventory],
         x=x,

@@ -229,6 +229,9 @@ def latent_from_physics(lambda_h, beta_h, lambda_c, beta_c, beta_aleatory):
 
     mu     = (lambda_h - lambda_c) / beta_aleatory
     sigma2 = (beta_h^2 + beta_c^2) / beta_aleatory^2
+
+    A variance above ``SIGMA2_CAP`` (or not finite) raises InvalidInputError,
+    whose ``cell`` attribute is the index of the first such entry.
     """
     args = (lambda_h, beta_h, lambda_c, beta_c, beta_aleatory)
     lambda_h, beta_h, lambda_c, beta_c, beta_aleatory = np.broadcast_arrays(
@@ -241,13 +244,18 @@ def latent_from_physics(lambda_h, beta_h, lambda_c, beta_c, beta_aleatory):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mu = (lambda_h - lambda_c) / beta_aleatory
         sigma2 = (beta_h**2 + beta_c**2) / beta_aleatory**2
-    bad = ~np.isfinite(sigma2)
+    # above SIGMA2_CAP, the largest variance an update writes, a cell's
+    # moments may leave the Beta surrogate's domain, so no update could take it
+    bad = ~(sigma2 <= SIGMA2_CAP)
     if bad.any():
-        raise InvalidInputError(
-            f"latent variance (beta_h^2 + beta_c^2) / beta_aleatory^2 is not finite "
-            f"for beta_h={float(beta_h[bad][0])!r}, beta_c={float(beta_c[bad][0])!r}, "
-            f"beta_aleatory={float(beta_aleatory[bad][0])!r}"
+        cell = np.unravel_index(np.argmax(bad), bad.shape)
+        exc = InvalidInputError(
+            f"latent variance (beta_h^2 + beta_c^2) / beta_aleatory^2 must be at most "
+            f"{SIGMA2_CAP:g}, got {float(sigma2[cell])!r} for beta_h={float(beta_h[cell])!r}, "
+            f"beta_c={float(beta_c[cell])!r}, beta_aleatory={float(beta_aleatory[cell])!r}"
         )
+        exc.cell = cell
+        raise exc
     if not np.all(np.isfinite(mu)):
         raise InvalidInputError(
             "latent mean (lambda_h - lambda_c) / beta_aleatory is not finite"

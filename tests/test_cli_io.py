@@ -41,7 +41,7 @@ from fragfield.io import (
     write_gp_field_csv,
     write_manifest,
 )
-from fragfield.probit_normal import pn_moments_vec
+from fragfield.probit_normal import SIGMA2_CAP, pn_moments_vec
 
 
 def _toy_field(n=3):
@@ -605,6 +605,42 @@ class TestCmdPrior:
         for dry in (["--dry-run"], []):
             assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
             assert "latent variance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_variance_above_update_cap_exit_2(self, tmp_path, capsys):
+        # eps_hazard 1e8 gives a finite sigma2 of 5.1e17, whose moments sit on
+        # zeta = m(1 - m): no update could take an observation of the cell
+        rows = [["b0", 5000.0, 100.0, 1], ["b1", 5000.0, 1200.0, 7]]
+        cfg = _prior_config(tmp_path, extra={"eps_hazard": 1e8}, inventory_rows=rows)
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: building b0, state moderate: latent variance")
+            assert f"must be at most {SIGMA2_CAP:g}, got 5.1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("1,moderate,35,0.3", "table.csv:11: second row for archetype 1, state moderate"),
+            ("7,severe,35,0.3", "table.csv:11: unknown state 'severe'"),
+        ],
+        ids=["second_row", "unknown_state"],
+    )
+    def test_bad_table_row_exit_2_names_line(self, tmp_path, capsys, bad_row, message):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "archetype,state,median_mps,dispersion\n"
+            + "".join(f"{a},{s},{40 + 10 * j},0.2\n" for a in (1, 7, 12)
+                      for j, s in enumerate(STATES))
+            + bad_row + "\n"
+        )
+        cfg = _prior_config(tmp_path, extra={"table": "table.csv"})
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["prior", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            assert f"error: {tmp_path / message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("eps_hazard", -0.1), ("eps_capacity", -1)])
@@ -1211,6 +1247,19 @@ class TestCmdExperiment:
             b"mode,strategy,prior_width_m,step,sigma2_global,ell1,ell2,rho_a,"
             b"alpha_local,tau,log_marginal_likelihood\r\n"
         )
+
+    @pytest.mark.parametrize("modes", [["local-only", "gp-enabled"], ["gp-enabled"]])
+    def test_gp_sweep_above_exact_cap_exit_2(self, tmp_path, capsys, modes):
+        cfg = tmp_path / "exp.json"
+        n = EXACT_SOLVE_CAP // 3 + 1
+        cfg.write_text(json.dumps({"schema_version": 1, "n_buildings": n, "modes": modes}))
+        out = tmp_path / "o"
+        for dry in (["--dry-run"], []):
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            err = capsys.readouterr().err
+            assert f"gp mode takes at most {n - 1} buildings" in err
+            assert "sparse_variational_posterior" not in err
+        assert not out.exists()
 
     def test_dry_run_rejects_more_batches_than_observed(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"

@@ -1,6 +1,7 @@
 """Tests for the online-learning experiment: truth, observer, batches, runner."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import fragfield.experiment as experiment
 from fragfield.errors import InvalidInputError
 from fragfield.evidence import DEFAULT_W_MAX
 from fragfield.experiment import (
@@ -26,6 +28,7 @@ from fragfield.experiment import (
     soft_exceedance,
 )
 from fragfield.evidence import EvaluationSample, soft_confusion, soft_f1
+from fragfield.gp_field import EXACT_SOLVE_CAP
 from fragfield.hazard import Building, TornadoTrack, wind_speed
 
 STRAIGHT_TRACK = TornadoTrack(centerline=((0.0, 0.0), (10_000.0, 0.0)), width_total=1_600.0)
@@ -250,6 +253,15 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             default_config(modes=("offline",))
 
+    def test_gp_mode_above_exact_cap(self):
+        n = EXACT_SOLVE_CAP // 3 + 1
+        with pytest.raises(InvalidInputError, match=f"at most {n - 1} buildings"):
+            default_config(n_buildings=n)
+        with pytest.raises(InvalidInputError, match=f"at most {n - 1} buildings"):
+            default_config(n_buildings=n, modes=("gp-enabled",))
+        default_config(n_buildings=n, modes=("local-only",))
+        default_config(n_buildings=n - 1)
+
 
 def _small_config(**over):
     base = dict(
@@ -373,6 +385,37 @@ class TestRunOnlineExperiment:
             for m in cfg.modes
         }
         assert keys == expected
+
+    def test_final_fields_share_one_trajectory(self, small_run):
+        cfg, res = small_run
+        for w in cfg.prior_widths:
+            for s in cfg.strategies:
+                local = res.final_fields[(float(w), s, "local-only")]
+                assert res.final_fields[(float(w), s, "gp-enabled")] is local
+
+    def test_one_update_pass_per_strategy_and_width(self, monkeypatch):
+        """Both modes score one conjugate field, so each batch updates it once."""
+        real, calls = experiment.update_cells, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "update_cells", counting)
+        cfg = _small_config(
+            n_buildings=30, strategies=("random", "grouped"), gp_cold_max_iter=4,
+            gp_warm_max_iter=2,
+        )
+        run_online_experiment(cfg)
+        assert len(calls) == len(cfg.strategies) * len(cfg.prior_widths) * (cfg.n_batches + 1)
+
+    def test_modes_do_not_change_each_other(self, small_run):
+        """Evidence is counted once: a mode's rows do not depend on the others."""
+        cfg, res = small_run
+        for mode in cfg.modes:
+            alone = run_online_experiment(replace(cfg, modes=(mode,)))
+            assert alone.metrics == [m for m in res.metrics if m.mode == mode]
+            assert alone.trajectory == [t for t in res.trajectory if t.mode == mode]
 
     def test_deterministic_rerun(self, small_run):
         cfg, res = small_run

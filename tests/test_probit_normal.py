@@ -474,6 +474,15 @@ class TestLatentFromPhysics:
         with pytest.raises(InvalidInputError, match="latent variance"):
             latent_from_physics(0.0, beta_h, 0.0, beta_c, beta_aleatory)
 
+    def test_variance_above_cap_rejected_at_its_cell(self):
+        # sqrt(SIGMA2_CAP) = 1000 gives the cap exactly, which an update can write
+        beta_h = np.array([[0.1, 1000.0], [0.1, 1000.001]])
+        _, sigma2 = latent_from_physics(0.0, beta_h[0], 0.0, 0.0, 1.0)
+        assert sigma2[1] == SIGMA2_CAP
+        with pytest.raises(InvalidInputError, match="latent variance") as info:
+            latent_from_physics(0.0, beta_h, 0.0, 0.0, 1.0)
+        assert info.value.cell == (1, 1)
+
 
 class TestClipOrdinalProbit:
     def test_upper_cascade(self):
