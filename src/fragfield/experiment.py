@@ -436,6 +436,9 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
         xatol=config.gp_warm_xatol,
     )
 
+    # step 0 of every strategy at one width fits the same prior field from
+    # the same init and seed, so its fit and posterior are made once per width
+    step0_fits = {}
     metrics, trajectory, violations, finals = [], [], [], {}
     for strategy in config.strategies:
         for width in config.prior_widths:
@@ -462,10 +465,15 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
                         # the GP is fit at every step, the prior field included,
                         # so every gp row is scored through the same lens
                         pts = FieldPoints.from_field_state(fs)
-                        init = data_informed_init(pts) if step <= 1 else gp_params
-                        budget = cold if step <= 1 else warm
-                        gp_params = fit_hyperparameters(pts, init, seed=gp_seed, **budget)
-                        post = exact_posterior(pts, gp_params)
+                        if step == 0 and width in step0_fits:
+                            gp_params, post = step0_fits[width]
+                        else:
+                            init = data_informed_init(pts) if step <= 1 else gp_params
+                            budget = cold if step <= 1 else warm
+                            gp_params = fit_hyperparameters(pts, init, seed=gp_seed, **budget)
+                            post = exact_posterior(pts, gp_params)
+                            if step == 0:
+                                step0_fits[width] = gp_params, post
                         m_flat, var_flat = pn_moments_vec(post.mean, post.var)
                         m = m_flat.reshape(fs.mu.shape)
                         var_p = var_flat.reshape(fs.mu.shape)

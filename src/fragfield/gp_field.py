@@ -16,19 +16,25 @@ map back to probability space through the probit-normal moment formulas.
 One routine, ``_kernel``, assembles K(a, b) for any two point sets: the
 self kernel of ``kernel_matrix`` and the inducing-point cross block of the
 sparse path alike.  Its hyperparameter-free geometry is built once per pair
-of sets (and cached per ``FieldPoints`` for the self kernel): the global
-term is evaluated once per pair of *sites*, the distinct (x, y, archetype)
-rows, and gathered onto the point pairs through one index in which
-cross-state pairs read a trailing zero; the local term is added at the
-same-building pairs only.
+of sets (and cached per ``FieldPoints`` for the self kernel), and nothing in
+it has n_a x n_b entries.  The global term is evaluated once per pair of
+*sites*, the distinct (x, y, archetype) rows, or the buildings of a
+building-major complete field, and written into one block per state, since
+it never couples states; on the complete layout each block is a strided
+slice.  The local term is added at the same-building pairs, which a sort of
+the building ids finds.
 
-An exact solve allocates one n x n array: the kernel is gathered straight
+An exact solve allocates one n x n array: the kernel is written straight
 into it, the noise is added on its diagonal, and LAPACK ``dpotrf`` factors
 it in place, with one shared jitter ladder for the exact and sparse paths.
 The exact posterior carries its log marginal likelihood (``log_evidence``),
 computed from the same Cholesky factor of K + diag(noise) as the posterior
-moments, so reporting a fitted GP takes one factorisation; it assembles K a
-second time for the moments, because the factor overwrote the first.
+moments, so reporting a fitted GP takes one factorisation.  The factor
+overwrote K, so the posterior writes K into a second n x n buffer, reads
+K @ alpha and diag(K) from it, and solves the triangular system in place:
+it holds two n x n arrays.  The sparse posterior holds the m x n cross block
+and one m x n temporary at a time.
+
 Hyperparameters are fit by maximizing the log marginal likelihood with a
 derivative-free simplex search in a log/logit-transformed space:
 ``_nelder_mead``, the adaptive Nelder–Mead of scipy.optimize written out
@@ -83,11 +89,13 @@ class FieldPoints:
     """
 
     def __init__(self, i, j, x, y, archetype, z, noise_var):
-        self.i = np.asarray(i, dtype=int)
-        self.j = np.asarray(j, dtype=int)
+        # the kernel files each point under its state and building by these
+        # ids, so a truncated 0.7 or a negative id would file it wrongly
+        self.i = _integer_column(i, "i", nonnegative=True)
+        self.j = _integer_column(j, "j", nonnegative=True)
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        self.archetype = np.asarray(archetype, dtype=int)
+        self.archetype = _integer_column(archetype, "archetype", nonnegative=False)
         self.z = np.asarray(z, dtype=float)
         self.noise_var = np.asarray(noise_var, dtype=float)
         n = len(self.i)
@@ -158,6 +166,16 @@ class FieldPoints:
         return self._cache
 
 
+def _integer_column(values, name: str, *, nonnegative: bool) -> np.ndarray:
+    raw = np.asarray(values)
+    col = raw.astype(int) if raw.dtype.kind in "iuf" else None
+    if col is None or not np.array_equal(col, raw):
+        raise InvalidInputError(f"field point {name} must be integers")
+    if nonnegative and np.any(col < 0):
+        raise InvalidInputError(f"field point {name} must be >= 0")
+    return col
+
+
 def _standardize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     sd = v.std()
@@ -167,38 +185,80 @@ def _standardize(v: np.ndarray) -> np.ndarray:
 
 
 class _Geometry(NamedTuple):
-    """Hyperparameter-free structure of K(a, b) over S_a x S_b sites."""
+    """Hyperparameter-free structure of K(a, b): nothing in it has n_a x n_b
+    entries."""
 
+    shape: tuple[int, int]  # (n_a, n_b)
     dx2: np.ndarray  # (S_a, S_b) squared x separations of the sites
     dy2: np.ndarray  # (S_a, S_b) squared y separations of the sites
     arch_diff: np.ndarray  # (S_a, S_b) True where the archetypes differ
-    take: np.ndarray  # (n_a, n_b) flat site-pair index; S_a*S_b if j != j*
-    same_building: np.ndarray  # flat (n_a, n_b) indices of the pairs with i == i*
+    # per state of both sets: (rows of a, their sites, rows of b, their sites)
+    blocks: tuple[tuple, ...]
+    pair_rows: np.ndarray  # rows in a of the pairs with i == i*
+    pair_cols: np.ndarray  # their columns in b
     local_dist: np.ndarray  # |z - z*| + STATE_TIEBREAK |j - j*| at those pairs
 
 
+def _sites(p: FieldPoints):
+    """(sites, states): the (x, y, archetype) rows of the global term's sites,
+    and for each state of ``p`` its rows and the site of each row.
+
+    On the building-major complete layout that ``from_field_state`` builds,
+    each building is a site, and state j holds rows j::d and every site in
+    order, so both are slices.  Otherwise the sites are the distinct rows
+    and both are index arrays.
+    """
+    n, d = len(p), int(p.j.max()) + 1
+    cols = (p.x, p.y, p.archetype)
+    if (
+        n % d == 0
+        and np.array_equal(p.j, np.tile(np.arange(d), n // d))
+        and all(np.all(c.reshape(-1, d) == c[::d, None]) for c in cols)
+    ):
+        sites = np.column_stack([c[::d] for c in cols])
+        return sites, {j: (slice(j, None, d), slice(None)) for j in range(d)}
+    sites, site = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
+    order = np.argsort(p.j, kind="stable")
+    states, starts = np.unique(p.j[order], return_index=True)
+    site = site.ravel()
+    return sites, {
+        int(j): (rows, site[rows])
+        for j, rows in zip(states, np.split(order, starts[1:]))
+    }
+
+
+def _same_building_pairs(ia: np.ndarray, ib: np.ndarray):
+    """(rows, cols) of every pair with ia[row] == ib[col]: each row's run of
+    equal ids in the sorted ib, rather than an n_a x n_b comparison."""
+    order = np.argsort(ib, kind="stable")
+    sorted_ib = ib[order]
+    lo = np.searchsorted(sorted_ib, ia, side="left")
+    count = np.searchsorted(sorted_ib, ia, side="right") - lo
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return np.repeat(np.arange(len(ia)), count), order[np.repeat(lo, count) + k]
+
+
 def _pair_geometry(a: FieldPoints, b: FieldPoints) -> _Geometry:
-    """Sites are the distinct (x, y, archetype) rows of each set; the global
-    term depends on a point only through its site and its state."""
-    sites_a, site_a = np.unique(
-        np.column_stack([a.x, a.y, a.archetype]), axis=0, return_inverse=True
-    )
-    sites_b, site_b = np.unique(
-        np.column_stack([b.x, b.y, b.archetype]), axis=0, return_inverse=True
-    )
-    n_sites_b = len(sites_b)
-    take = site_a.reshape(-1, 1) * n_sites_b + site_b.reshape(1, -1)
-    take[a.j[:, None] != b.j[None, :]] = len(sites_a) * n_sites_b
-    same_building = np.flatnonzero(a.i[:, None] == b.i[None, :])
-    r, c = np.divmod(same_building, len(b))
-    local_dist = np.abs(a.z[r] - b.z[c]) + STATE_TIEBREAK * np.abs(a.j[r] - b.j[c])
+    """The global term depends on a point only through its site and its
+    state, and is zero across states; the local term only on same-building
+    pairs."""
+    sites_a, states_a = _sites(a)
+    sites_b, states_b = _sites(b)
+    r, c = _same_building_pairs(a.i, b.i)
+
+    def squared_separation(k):
+        d2 = np.subtract.outer(sites_a[:, k], sites_b[:, k])
+        return np.square(d2, out=d2)
+
     return _Geometry(
-        dx2=(sites_a[:, 0, None] - sites_b[None, :, 0]) ** 2,
-        dy2=(sites_a[:, 1, None] - sites_b[None, :, 1]) ** 2,
-        arch_diff=sites_a[:, 2, None] != sites_b[None, :, 2],
-        take=take,
-        same_building=same_building,
-        local_dist=local_dist,
+        shape=(len(a), len(b)),
+        dx2=squared_separation(0),
+        dy2=squared_separation(1),
+        arch_diff=np.not_equal.outer(sites_a[:, 2], sites_b[:, 2]),
+        blocks=tuple((*states_a[j], *states_b[j]) for j in states_a if j in states_b),
+        pair_rows=r,
+        pair_cols=c,
+        local_dist=np.abs(a.z[r] - b.z[c]) + STATE_TIEBREAK * np.abs(a.j[r] - b.j[c]),
     )
 
 
@@ -246,27 +306,39 @@ def _kernel(
     geom: _Geometry, params: CompositeKernelParams, out: np.ndarray | None = None
 ) -> np.ndarray:
     """K(a, b) for the point sets whose geometry is ``geom``, written into
-    ``out`` (a C-contiguous n_a x n_b float array) when one is given."""
-    n_sites_a, n_sites_b = geom.dx2.shape
-    buf = np.zeros(n_sites_a * n_sites_b + 1)  # last entry: cross-state pairs
-    s = buf[:-1].reshape(n_sites_a, n_sites_b)
-    np.exp(-0.5 * (geom.dx2 / params.ell1**2 + geom.dy2 / params.ell2**2), out=s)
+    ``out`` (an n_a x n_b float array) when one is given."""
+    if out is None:
+        out = np.empty(geom.shape)
+    s = geom.dx2 / params.ell1**2
+    # S_a x S_b <= n_a x n_b, so out, written last, holds the second term
+    term = out.reshape(-1)[: s.size].reshape(s.shape)
+    s += np.divide(geom.dy2, params.ell2**2, out=term)
+    s *= -0.5
+    np.exp(s, out=s)
     s *= params.sigma2_global
-    # a dense multiply beats a boolean-mask update, and x * 1.0 is exact
-    s *= np.where(geom.arch_diff, params.rho_a, 1.0)
-    # every index is in range; the default mode="raise" would gather into a
-    # temporary and copy it to ``out``, where "clip" writes straight into it
-    k = buf.take(geom.take, out=out, mode="clip")
-    local = k.flat[geom.same_building] + (
+    # x * 1.0 is exact, so this is the product with where(arch_diff, rho_a, 1)
+    np.multiply(s, params.rho_a, out=s, where=geom.arch_diff)
+    out.fill(0.0)
+    for rows_a, sites_a, rows_b, sites_b in geom.blocks:
+        out[_cross(rows_a, rows_b)] = s[_cross(sites_a, sites_b)]
+    local = out[geom.pair_rows, geom.pair_cols] + (
         params.alpha_local
         * params.sigma2_global
         * np.exp(-geom.local_dist / params.tau)
     )
-    k.flat[geom.same_building] = local
-    # every other entry of k is a copy of a site entry or the zero sentinel
+    out[geom.pair_rows, geom.pair_cols] = local
+    # every other entry of out is a copy of a site entry or zero
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(local))):
         raise NumericalFailureError("kernel matrix has non-finite entries")
-    return k
+    return out
+
+
+def _cross(rows, cols):
+    """Index of the rows x cols block: slices and one index array combine
+    as they are, two index arrays need np.ix_."""
+    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+        return np.ix_(rows, cols)
+    return rows, cols
 
 
 def kernel_matrix(
@@ -357,11 +429,16 @@ def exact_posterior(points: FieldPoints, params: CompositeKernelParams) -> GpPos
     from scipy.linalg import solve_triangular
 
     low, alpha, lml = _exact_solve(points, params)
-    # the factor overwrote the solve's copy of K
-    k = kernel_matrix(points, params)
+    # the factor overwrote the solve's copy of K, so K is assembled again
+    # into a second buffer, which the triangular solve then overwrites; K
+    # is symmetric, so the Fortran buffer and its C-order view both hold it
+    n = len(points)
+    buf = np.empty((n, n), order="F")
+    k = kernel_matrix(points, params, out=buf.T)
     mean = k @ alpha
-    v = solve_triangular(low, k, lower=True, check_finite=False)
-    var = np.diag(k) - np.einsum("ij,ij->j", v, v)
+    k_diag = k.diagonal().copy()
+    v = solve_triangular(low, buf, lower=True, check_finite=False, overwrite_b=True)
+    var = k_diag - np.einsum("ij,ij->j", v, v)
     return GpPosterior(mean=mean, var=var, log_evidence=lml)
 
 
@@ -597,16 +674,19 @@ def sparse_variational_posterior(
     kuf = _kernel(_pair_geometry(u, points), params)
     kff_diag = params.sigma2_global * (1.0 + params.alpha_local) * np.ones(n)
 
+    # beside kuf, one m x n temporary at a time: b, then c, then t
     lu, _ = _chol_with_ladder(m, lambda buf: np.copyto(buf, kuu), _JITTER_START)
     b = solve_triangular(lu, kuf, lower=True, check_finite=False)
     qff_diag = np.einsum("ij,ij->j", b, b)
+    del b
 
     inv_noise = 1.0 / points.noise_var
     c = kuf * inv_noise[None, :]
     m_mat = kuu + c @ kuf.T
+    cz = c @ points.z
+    del c
     lm, _ = _chol_with_ladder(m, lambda buf: np.copyto(buf, m_mat), _JITTER_START)
 
-    cz = c @ points.z
     mean = kuf.T @ dpotrs(lm, cz, lower=1)[0]
     t = solve_triangular(lm, kuf, lower=True, check_finite=False)
     var = kff_diag - qff_diag + np.einsum("ij,ij->j", t, t)

@@ -409,6 +409,27 @@ class TestRunOnlineExperiment:
         run_online_experiment(cfg)
         assert len(calls) == len(cfg.strategies) * len(cfg.prior_widths) * (cfg.n_batches + 1)
 
+    def test_step0_fit_shared_across_strategies(self, monkeypatch):
+        """Step 0 fits the same prior field for every strategy, so each width
+        fits it once, and each strategy reports what it would alone."""
+        real, calls = experiment.fit_hyperparameters, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit_hyperparameters", counting)
+        cfg = _small_config(
+            n_buildings=30, strategies=("random", "grouped"), modes=("gp-enabled",),
+            gp_cold_max_iter=4, gp_warm_max_iter=2,
+        )
+        res = run_online_experiment(cfg)
+        widths, strategies = len(cfg.prior_widths), len(cfg.strategies)
+        assert len(calls) == widths * (1 + strategies * (cfg.n_batches + 1))
+        alone = run_online_experiment(replace(cfg, strategies=("grouped",)))
+        assert alone.trajectory == [t for t in res.trajectory if t.strategy == "grouped"]
+        assert alone.metrics == [m for m in res.metrics if m.strategy == "grouped"]
+
     def test_modes_do_not_change_each_other(self, small_run):
         """Evidence is counted once: a mode's rows do not depend on the others."""
         cfg, res = small_run

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,35 @@ def repeated_site_points(rng, n):
     )
 
 
+def gather_kernel(a, b, params):
+    """K(a, b) by the single gather that preceded the per-state blocks: every
+    point pair reads its site pair through one n_a x n_b index, cross-state
+    pairs read a trailing zero, and the local term is added at the
+    same-building pairs."""
+    cols_a = np.column_stack([a.x, a.y, a.archetype])
+    cols_b = np.column_stack([b.x, b.y, b.archetype])
+    sites_a, site_a = np.unique(cols_a, axis=0, return_inverse=True)
+    sites_b, site_b = np.unique(cols_b, axis=0, return_inverse=True)
+    n_sites_b = len(sites_b)
+    take = site_a.reshape(-1, 1) * n_sites_b + site_b.reshape(1, -1)
+    take[a.j[:, None] != b.j[None, :]] = len(sites_a) * n_sites_b
+    dx2 = (sites_a[:, 0, None] - sites_b[None, :, 0]) ** 2
+    dy2 = (sites_a[:, 1, None] - sites_b[None, :, 1]) ** 2
+    buf = np.zeros(len(sites_a) * n_sites_b + 1)
+    s = buf[:-1].reshape(len(sites_a), n_sites_b)
+    np.exp(-0.5 * (dx2 / params.ell1**2 + dy2 / params.ell2**2), out=s)
+    s *= params.sigma2_global
+    s *= np.where(sites_a[:, 2, None] != sites_b[None, :, 2], params.rho_a, 1.0)
+    k = buf.take(take)
+    same_building = np.flatnonzero(a.i[:, None] == b.i[None, :])
+    r, c = np.divmod(same_building, len(b))
+    local_dist = np.abs(a.z[r] - b.z[c]) + 1e-8 * np.abs(a.j[r] - b.j[c])
+    k.flat[same_building] = k.flat[same_building] + (
+        params.alpha_local * params.sigma2_global * np.exp(-local_dist / params.tau)
+    )
+    return k
+
+
 class TestKernelMatrix:
     def test_self_entry(self):
         p = CompositeKernelParams(sigma2_global=2.0, alpha_local=0.3)
@@ -243,6 +273,53 @@ class TestKernelMatrix:
         assert np.allclose(k, k.T, atol=1e-12)
         w = np.linalg.eigvalsh(k + 1e-10 * np.eye(n))
         assert w.min() >= -1e-8
+
+
+class TestKernelEqualsGather:
+    """The per-state blocks write the gather's kernel bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["grid", "shuffled", "scattered", "repeated"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_self_and_cross_block(self, kind, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(4, 150))
+        if kind == "scattered":
+            pts = random_points(rng, n)
+        elif kind == "repeated":
+            pts = repeated_site_points(rng, n)
+        else:
+            pts = grid_points(rng, n // 3 + 1)
+            if kind == "shuffled":
+                pts = pts.subset(rng.permutation(len(pts)))
+        p = random_params(rng)
+        assert np.array_equal(kernel_matrix(pts, p), gather_kernel(pts, pts, p))
+        u = pts.subset(_select_inducing(pts, max(1, len(pts) // 4), seed))
+        kuf = _kernel(gp_field._pair_geometry(u, pts), p)
+        assert np.array_equal(kuf, gather_kernel(u, pts, p))
+
+    def test_states_missing_from_one_set(self):
+        # the inducing set holds state 1 of buildings 0-4 only
+        rng = np.random.default_rng(3)
+        pts = grid_points(rng, 20)
+        u = pts.subset(np.flatnonzero(pts.j == 1)[:5])
+        p = random_params(rng)
+        kuf = _kernel(gp_field._pair_geometry(u, pts), p)
+        assert np.array_equal(kuf, gather_kernel(u, pts, p))
+        assert not np.any(kuf[:, (pts.j != 1) & (pts.i > 4)])
+
+    def test_geometry_of_complete_field_under_4_bytes_per_pair(self):
+        # the gather's int64 index and its bool masks peaked near 10 bytes
+        # per point pair; the site pairs of a complete field are n^2 / 9
+        rng = np.random.default_rng(1)
+        pts = grid_points(rng, 1000)
+        tracemalloc.start()
+        try:
+            geom = gp_field._pair_geometry(pts, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(pts) ** 2
+        assert all(a.size < len(pts) ** 2 for a in geom if isinstance(a, np.ndarray))
 
 
 class TestExactPosterior:
@@ -850,3 +927,30 @@ class TestValidation:
     def test_nonfinite_z(self):
         with pytest.raises(InvalidInputError):
             fp(pt(0, 0, 0, 0, z=float("nan")))
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("j", [0.7, 2.9]),
+            ("i", [0.0, 1.5]),
+            ("archetype", [1.0, 2.5]),
+            ("i", [-1, 0]),
+            ("j", [0, -2]),
+            ("j", ["0", "1"]),
+        ],
+    )
+    def test_non_integer_or_negative_ids_rejected(self, name, bad):
+        # np.asarray(dtype=int) would file j = 0.7 under state 0
+        cols = dict(
+            i=[0, 1], j=[0, 2], x=[0.0, 1.0], y=[0.0, 1.0], archetype=[1, 2],
+            z=[0.0, 0.0], noise_var=[1.0, 1.0],
+        )
+        with pytest.raises(InvalidInputError, match=f"field point {name} "):
+            FieldPoints(**{**cols, name: bad})
+
+    def test_integral_float_ids_and_negative_archetype_accepted(self):
+        pts = FieldPoints(
+            i=[0.0, 1.0], j=[0.0, 2.0], x=[0.0, 1.0], y=[0.0, 1.0],
+            archetype=[-1.0, 2], z=[0.0, 0.0], noise_var=[1.0, 1.0],
+        )
+        assert pts.j.tolist() == [0, 2] and pts.archetype.tolist() == [-1, 2]

@@ -3,7 +3,8 @@
 The commands that never reach the GP load numpy and scipy.special only; the
 GP paths add scipy.linalg, and none loads scipy.optimize.  ``prior`` and
 ``update --mode local`` on a 20,000-building inventory stay within a fixed
-memory budget above the import's.
+memory budget above the import's, and ``update --mode gp`` on 700 buildings
+within three n x n kernel buffers.
 """
 
 import importlib
@@ -163,9 +164,10 @@ print(json.dumps([code, (peak - base) / 1024.0]))
 _GROWTH_BUDGET_MB = 40.0
 
 
-def test_prior_and_update_at_20k_buildings_within_memory_budget(tmp_path):
-    n = 20_000
-    rng = np.random.default_rng(20)
+def write_inputs(tmp_path, n, n_observed, seed):
+    """An n-building inventory with every state of ``n_observed`` buildings
+    observed, a weights file and the prior track; returns the track."""
+    rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 10_000.0, n).tolist()
     y = rng.uniform(-2_500.0, 2_500.0, n).tolist()
     arch = rng.integers(1, 20, n).tolist()
@@ -173,7 +175,7 @@ def test_prior_and_update_at_20k_buildings_within_memory_budget(tmp_path):
         "building_id,x,y,archetype\n"
         + "".join(f"b{k},{x[k]!r},{y[k]!r},{arch[k]}\n" for k in range(n))
     )
-    observed = rng.choice(n, 1_000, replace=False)
+    observed = rng.choice(n, n_observed, replace=False)
     (tmp_path / "obs.csv").write_text(
         "building_id,state,y\n"
         + "".join(
@@ -185,7 +187,24 @@ def test_prior_and_update_at_20k_buildings_within_memory_budget(tmp_path):
     (tmp_path / "weights.csv").write_text(
         "state,weight\nmoderate,5\nextensive,5\ncomplete,5\n"
     )
-    track = {"centerline": [[-500, -200], [5000, 0], [10500, 200]], "width_total": 800.0}
+    return {"centerline": [[-500, -200], [5000, 0], [10500, 200]], "width_total": 800.0}
+
+
+def peak_growth(tmp_path, configs):
+    """Run each (command, config) in a fresh interpreter; peak growth in MB."""
+    growth = {}
+    for command, doc in configs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **doc}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        (code, growth[command]), stderr = fresh(_PEAK_GROWTH, argv)
+        assert code == 0, stderr
+    return growth
+
+
+def test_prior_and_update_at_20k_buildings_within_memory_budget(tmp_path):
+    n = 20_000
+    track = write_inputs(tmp_path, n, 1_000, 20)
     configs = {
         "prior": {"inventory": "inventory.csv", "track": track},
         "update": {
@@ -195,11 +214,30 @@ def test_prior_and_update_at_20k_buildings_within_memory_budget(tmp_path):
             "mode": "local",
         },
     }
-    for command, doc in configs.items():
-        cfg = tmp_path / f"{command}.json"
-        cfg.write_text(json.dumps({"schema_version": 1, **doc}))
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
-        (code, growth_mb), stderr = fresh(_PEAK_GROWTH, argv)
-        assert code == 0, stderr
+    for command, growth_mb in peak_growth(tmp_path, configs).items():
         assert growth_mb < _GROWTH_BUDGET_MB, (command, growth_mb)
     assert len((tmp_path / "update" / "field.csv").read_text().splitlines()) == 3 * n + 1
+
+
+# the exact GP holds at most two n x n buffers: the posterior's factor beside
+# its second K, which it solves in place.  At 700 buildings (2,100 points) one
+# buffer is 33.6 MB; the n x n gather index, its masks and the posterior's
+# copies made the growth about 155 MB
+_GP_BUFFER_MB = 8 * (3 * 700) ** 2 / 2**20
+
+
+def test_gp_update_at_700_buildings_within_three_kernel_buffers(tmp_path):
+    track = write_inputs(tmp_path, 700, 100, 7)
+    configs = {
+        "prior": {"inventory": "inventory.csv", "track": track},
+        "update": {
+            "field": "prior/field.csv",
+            "observations": "obs.csv",
+            "weights": "weights.csv",
+            "mode": "gp",
+            "gp_max_iter": 1,
+        },
+    }
+    growth_mb = peak_growth(tmp_path, configs)["update"]
+    assert growth_mb < 3 * _GP_BUFFER_MB, growth_mb
+    assert (tmp_path / "update" / "gp_field.csv").exists()
