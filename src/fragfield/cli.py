@@ -268,8 +268,8 @@ def cmd_experiment(config_path, out_dir, seed, dry_run) -> int:
     write_metrics_csv(metrics_csv, result.metrics)
     write_trajectory_csv(trajectory_csv, result.trajectory)
     fields = {
-        os.path.join("fields", f"w{width:g}_{strategy}_{mode}"): fs
-        for (width, strategy, mode), fs in sorted(result.final_fields.items())
+        os.path.join("fields", f"w{width:g}_{strategy}"): fs
+        for (width, strategy), fs in sorted(result.final_fields.items())
     }
     _write_outputs(out_dir, config_path, config.seed, fields, [metrics_csv, trajectory_csv])
     return 0

@@ -212,6 +212,8 @@ class ExperimentResult:
     config: ScenarioConfig
     metrics: list
     trajectory: list
+    # (prior width, strategy) -> the last field of that trajectory, which
+    # every mode scores
     final_fields: dict = field(default_factory=dict)
     ordinality_violations: list = field(default_factory=list)
     calibration_weights: np.ndarray | None = None
@@ -492,7 +494,7 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
                     )
             for mode in config.modes:
                 metrics += rows[mode]
-                finals[(width, strategy, mode)] = fs
+            finals[(width, strategy)] = fs
     return ExperimentResult(
         config=config,
         metrics=metrics,

@@ -9,8 +9,10 @@ explicit ``schema_version``; unknown keys are rejected with their field
 path.  Run manifests record a content digest for every emitted file.
 
 The field writers format and write one block of ``_WRITE_BLOCK`` buildings
-at a time, whole columns of the block at once, so their transient memory is
-bounded whatever the field's size.  They stay byte-stable: the CSV writers
+at a time, so their transient memory is bounded whatever the field's size:
+the CSV writers format a block's rows from one ``%`` template, and the
+GeoJSON writer joins a block's features into one write.  They stay
+byte-stable: the CSV writers quote an id by ``csv.writer``'s own rule and
 spell each float as ``fmt17`` does, and the GeoJSON writer writes exactly
 what ``json.dump(doc, indent=2, sort_keys=True)`` would.
 The field CSV and GeoJSON writers take the cells' probability moments
@@ -33,6 +35,7 @@ from dataclasses import astuple, dataclass, field, fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,14 +84,8 @@ def fmt17(x) -> str:
     return "%.17g" % float(x)
 
 
-def _fmt17_column(a) -> list:
-    """``fmt17`` over every value of an array, in C order."""
-    return ["%.17g" % v for v in np.ravel(a).tolist()]
-
-
-def _repeat(values, k) -> list:
-    """Each item of ``values`` ``k`` times in a row: per-building to per-cell."""
-    return [v for v in values for _ in range(k)]
+# csv.writer's text for one row, returned instead of written
+_csv_row_text = csv.writer(SimpleNamespace(write=str)).writerow
 
 
 # buildings per block of the field writers
@@ -100,31 +97,46 @@ def _blocks(n):
     return [slice(start, start + _WRITE_BLOCK) for start in range(0, n, _WRITE_BLOCK)]
 
 
+def _write_cell_rows(path, header, ids, building, cells) -> None:
+    """A CSV of ``header`` and one row per (building, state) cell.
+
+    A row holds the building's id, its ``building`` columns, the state and
+    the cell's value in each of ``cells``.  ``building`` pairs a ``%``
+    format with a per-building array; ``cells`` are (n_buildings, n_states)
+    float arrays, spelled ``%.17g`` as ``fmt17`` spells them.  The head of
+    a building's rows (its id, quoted by ``csv.writer``'s own rule, and its
+    building columns) is formatted once per building, and each block's rows
+    from one ``%`` template.
+    """
+    head = ",".join(["%s", *(fmt for fmt, _ in building)])
+    rows = "".join(f"%s,{state}" + ",%.17g" * len(cells) + "\r\n" for state in STATES)
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_row_text(header))
+        for b in _blocks(len(ids)):
+            # a two-field row of the id and "" spells the id, then ",\r\n"
+            spelled = [_csv_row_text((bid, ""))[:-3] for bid in ids[b]]
+            columns = (col[b].tolist() for _, col in building)
+            heads = [head % values for values in zip(spelled, *columns)]
+            args = np.empty((len(heads), len(STATES), 1 + len(cells)), dtype=object)
+            args[:, :, 0] = np.array(heads, dtype=object)[:, None]
+            for k, values in enumerate(cells, start=1):
+                args[:, :, k] = values[b]
+            fh.write((rows * len(heads)) % tuple(args.ravel().tolist()))
+
+
 def write_field_csv(path, fs: FieldState, m, var_p) -> None:
     """One row per (building, state): id, geometry, PN cell, probability moments.
 
     ``m, var_p`` are the cells' probability moments, ``pn_moments_vec(fs.mu,
     fs.sigma2)``, computed once by the caller for both field writers.
     """
-    d = fs.n_states
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIELD_COLUMNS)
-        for b in _blocks(fs.n_buildings):
-            ids = fs.ids[b]
-            writer.writerows(
-                zip(
-                    _repeat(ids, d),
-                    _repeat(_fmt17_column(fs.x[b]), d),
-                    _repeat(_fmt17_column(fs.y[b]), d),
-                    _repeat(fs.archetype[b].tolist(), d),
-                    list(STATES) * len(ids),
-                    _fmt17_column(fs.mu[b]),
-                    _fmt17_column(fs.sigma2[b]),
-                    _fmt17_column(m[b]),
-                    _fmt17_column(var_p[b]),
-                )
-            )
+    _write_cell_rows(
+        path,
+        _FIELD_COLUMNS,
+        fs.ids,
+        [("%.17g", fs.x), ("%.17g", fs.y), ("%d", fs.archetype)],
+        [fs.mu, fs.sigma2, m, var_p],
+    )
 
 
 def _csv_rows(path, required, optional=()):
@@ -279,9 +291,9 @@ def write_field_geojson(path, fs: FieldState, m, var_p) -> None:
                 for j, state in enumerate(STATES):
                     props[f"{q}_{state}"] = _json_floats(values[b, j])
             xs, ys = _json_floats(fs.x[b]), _json_floats(fs.y[b])
-            for row in zip(xs, ys, *(props[k] for k in keys)):
-                fh.write(sep + feature % row)
-                sep = ",\n"
+            rows = zip(xs, ys, *(props[k] for k in keys))
+            fh.write(sep + ",\n".join([feature % row for row in rows]))
+            sep = ",\n"
         if fs.n_buildings:
             fh.write("\n  ")
         fh.write('],\n  "planar_coordinates": true,\n  "type": "FeatureCollection"\n}\n')
@@ -322,22 +334,14 @@ def write_gp_field_csv(path, fs: FieldState, mean_p, var_p) -> None:
 
     ``mean_p, var_p`` hold one value per cell of ``fs``, in its C order.
     """
-    d = fs.n_states
-    mean_p = np.reshape(mean_p, (fs.n_buildings, d))
-    var_p = np.reshape(var_p, (fs.n_buildings, d))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["building_id", "state", "m", "var_p"])
-        for b in _blocks(fs.n_buildings):
-            ids = fs.ids[b]
-            writer.writerows(
-                zip(
-                    _repeat(ids, d),
-                    list(STATES) * len(ids),
-                    _fmt17_column(mean_p[b]),
-                    _fmt17_column(var_p[b]),
-                )
-            )
+    shape = (fs.n_buildings, fs.n_states)
+    _write_cell_rows(
+        path,
+        ["building_id", "state", "m", "var_p"],
+        fs.ids,
+        [],
+        [np.reshape(mean_p, shape), np.reshape(var_p, shape)],
+    )
 
 
 def read_inventory_csv(path):

@@ -91,6 +91,7 @@ class PnMoments:
 # analytic on the (bounded) integration interval, so a fixed high-order rule
 # reaches machine precision and vectorizes over many (h, rho) pairs at once.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_NODES_P1 = _GL_NODES + 1.0  # the nodes mapped from [-1, 1] to [0, 2]
 
 # rows per pass of the quadrature: a few (rows x 64) float temporaries of
 # 128 KiB each
@@ -110,10 +111,15 @@ def _phi2_correction_u(h2, ub):
         h2, ub = np.broadcast_arrays(h2, ub)
     if ub.size <= _QUAD_BLOCK:
         half = 0.5 * ub
-        # u-nodes for each element: shape (..., 64)
-        u = half[..., None] * (_GL_NODES + 1.0)
-        vals = np.exp(-h2[..., None] / (1.0 + np.sin(u)))
-        return (half / (2.0 * np.pi)) * (vals * _GL_WEIGHTS).sum(axis=-1)
+        # the integrand at each element's u-nodes, built in place in one
+        # (..., 64) buffer
+        vals = np.multiply(half[..., None], _GL_NODES_P1)
+        np.sin(vals, out=vals)
+        np.add(1.0, vals, out=vals)
+        np.divide(-h2[..., None], vals, out=vals)
+        np.exp(vals, out=vals)
+        vals *= _GL_WEIGHTS
+        return (half / (2.0 * np.pi)) * vals.sum(axis=-1)
     out = np.empty(ub.shape)
     flat_out, h2, ub = out.reshape(-1), h2.reshape(-1), ub.reshape(-1)
     for start in range(0, ub.size, _QUAD_BLOCK):
@@ -168,8 +174,8 @@ def pn_from_moments(mo: PnMoments) -> PnMarginal:
         raise InfeasibleMomentsError(
             f"zeta={zeta!r} >= m(1-m)={m * (1.0 - m)!r}: infeasible for a PN law"
         )
-    mu, sigma2 = pn_from_moments_vec(np.array([m]), np.array([zeta]))
-    return PnMarginal(float(mu[0]), float(sigma2[0]))
+    mu, sigma2 = pn_from_moments_vec(m, zeta)
+    return PnMarginal(mu, sigma2)
 
 
 _NEWTON_MAX_ITER = 60
@@ -184,7 +190,9 @@ def pn_from_moments_vec(m, zeta):
     above the root and starts the bracket [0, u0].  A Newton step that
     leaves the bracket is replaced by bisection, and a cell whose step falls
     below _NEWTON_RTOL * u stops, so its result does not depend on the other
-    cells of the call.  zeta = 0 gives sigma2 = 0 without iterating.
+    cells of the call.  zeta = 0 gives sigma2 = 0 without iterating.  A 0-d
+    input is one cell: ``pn_from_moments`` passes its two floats so, and
+    gets the bits of the same cell in any array.
     """
     m = np.asarray(m, dtype=float)
     zeta = np.asarray(zeta, dtype=float)

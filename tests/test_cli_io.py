@@ -350,9 +350,14 @@ def _ref_write_gp_field_csv(path, fs, gp):
                 writer.writerow([bid, state, fmt17(mean_p[i, j]), fmt17(var_p[i, j])])
 
 
-# ids a CSV writer must quote (a comma, a quote), a backslash that JSON
-# escapes, non-ASCII text, and padding that a reader must keep
-_AWKWARD_IDS = ["a,b", 'say "hi"', "back\\slash", "Zürich-7 ☂", "  padded  "]
+# ids a CSV writer must quote (a comma, a quote, a line feed, a carriage
+# return), a backslash that JSON escapes, non-ASCII text, padding that a
+# reader must keep, and the empty id, which a row of several fields leaves
+# unquoted
+_AWKWARD_IDS = [
+    "a,b", 'say "hi"', "back\\slash", "Zürich-7 ☂", "  padded  ", "line\nfeed",
+    "carriage\rreturn", "",
+]
 
 
 # each byte case is a field and the GP summaries (mean_p, var_p) of its cells
@@ -1100,7 +1105,8 @@ class TestCmdExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         paths = {f["path"] for f in manifest["files"]}
         assert "metrics.csv" in paths
-        assert os.path.join("fields", "w0_random_local-only.csv") in paths
+        assert os.path.join("fields", "w0_random.csv") in paths
+        assert sorted(os.listdir(out / "fields")) == ["w0_random.csv", "w0_random.geojson"]
         for f in manifest["files"]:
             assert sha256_file(out / f["path"]) == f["sha256"]
 

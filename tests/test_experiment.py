@@ -377,21 +377,19 @@ class TestRunOnlineExperiment:
 
     def test_final_fields_keyed_by_run(self, small_run):
         cfg, res = small_run
-        keys = set(res.final_fields)
-        expected = {
-            (float(w), s, m)
-            for w in cfg.prior_widths
-            for s in cfg.strategies
-            for m in cfg.modes
-        }
-        assert keys == expected
+        expected = {(float(w), s) for w in cfg.prior_widths for s in cfg.strategies}
+        assert set(res.final_fields) == expected
 
     def test_final_fields_share_one_trajectory(self, small_run):
+        """Every mode scores one field per (width, strategy), so the both-mode
+        run ends on the bits of a local-only run of the same scenario."""
         cfg, res = small_run
-        for w in cfg.prior_widths:
-            for s in cfg.strategies:
-                local = res.final_fields[(float(w), s, "local-only")]
-                assert res.final_fields[(float(w), s, "gp-enabled")] is local
+        local = run_online_experiment(replace(cfg, modes=("local-only",)))
+        assert set(local.final_fields) == set(res.final_fields)
+        for key, fs in res.final_fields.items():
+            for name in ("mu", "sigma2"):
+                got, want = getattr(fs, name), getattr(local.final_fields[key], name)
+                assert got.tobytes() == want.tobytes(), (key, name)
 
     def test_one_update_pass_per_strategy_and_width(self, monkeypatch):
         """Both modes score one conjugate field, so each batch updates it once."""

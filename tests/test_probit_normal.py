@@ -409,8 +409,17 @@ class TestBlockedPasses:
             # zeta below the smallest m(1-m) of the draws keeps every pair feasible
             m = rng.uniform(0.01, 0.99, shape_a)
             zeta = rng.uniform(0.0, 0.0099, shape_b)
+            edges = m.shape == zeta.shape == (n,)
+            if edges:
+                # zeta = 0 returns sigma2 = 0 without iterating, and the
+                # near-Bernoulli cells end on the SIGMA2_CAP clip
+                m[:3] = [0.3, 0.5, 0.9]
+                zeta[:3] = [0.0, 0.25 - 1e-12, 0.09 * (1.0 - 1e-11)]
             mu, s2 = pn_from_moments_vec(m, zeta)
             assert mu.shape == s2.shape == np.broadcast_shapes(shape_a, shape_b)
+            if edges:
+                assert s2[0] == 0.0
+                assert s2[1] == s2[2] == pytest.approx(SIGMA2_CAP, rel=1e-9)
             ref = _elementwise(lambda a, b: pn_from_moments(PnMoments(a, b)), m, zeta)
             where = (shape_a, shape_b)
             assert np.array_equal(mu.ravel(), [p.mu for p in ref]), where
