@@ -33,8 +33,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from scipy.special import betaln, log_ndtr, ndtri
-
 from .errors import (
     DegenerateSurrogateError,
     InfeasibleMomentsError,
@@ -180,8 +178,10 @@ def kl_pn_beta(
     (dx = phi(z) dz), with log Phi(z) and log(1 - Phi(z)) from log_ndtr, so
     no mass near x = 0 or 1 is cut off.
     """
-    # loaded here, not at import: no CLI command integrates
+    # loaded here, not at import: no CLI command integrates or loads
+    # scipy.special
     from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import betaln, log_ndtr, ndtri
 
     if p.sigma2 <= 0:
         raise InvalidInputError("KL needs a non-degenerate PN (sigma2 > 0)")

@@ -144,16 +144,25 @@ def _csv_rows(path, required, optional=()):
 
     ``values`` holds the row's fields in the order of ``required`` then
     ``optional``; an optional column the header lacks reads None.  Blank
-    lines are skipped, as ``csv.DictReader`` skips them.  A missing
-    required column, a row whose field count differs from the header's, a
-    byte the text codec cannot decode and a ``csv.Error`` all raise
-    InvalidInputError naming the file (and the line where there is one).
+    lines are skipped, as ``csv.DictReader`` skips them.  A header that
+    names a column twice (blank names aside), a missing required column, a
+    row whose field count differs from the header's, a byte the text codec
+    cannot decode and a ``csv.Error`` all raise InvalidInputError naming the
+    file (and the line where there is one).
     """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             column = {name: k for k, name in enumerate(header)}
+            # the dict kept each name's last position, so a name found at
+            # another one is repeated; blank names (trailing empty columns of a
+            # spreadsheet export) name nothing a reader takes
+            repeated = [name for k, name in enumerate(header) if name and column[name] != k]
+            if repeated:
+                raise InvalidInputError(
+                    f"{path}: column {repeated[0]!r} appears more than once"
+                )
             missing = set(required) - set(column)
             if missing:
                 raise InvalidInputError(

@@ -26,6 +26,17 @@ dC/du = exp(-v^2/(1+sin u))/(2pi) is the integrand itself.
 The quadrature runs over a field's cells in blocks of _QUAD_BLOCK, so a
 field-wide pass (the moments of every cell, each Newton step of the inverse)
 holds fixed-size temporaries however large the field.
+
+Phi and Phi^-1 are Cephes' ndtr (with its erf and erfc) and ndtri (Moshier
+1989, "Methods and Programs for Mathematical Functions"), written out as
+scipy.special 1.17 evaluates them, so they return scipy's bits without
+loading scipy.  The arithmetic is IEEE +, -, *, / in the same order, and
+every exp and log is libm's (``math.exp``, ``math.log``): numpy's float64
+exp and log may differ from libm in the last bit on SIMD hardware.  A 0-d
+input goes through the scalar body.  Phi of an array goes through an array
+body (NumPy masks and Horner, math.exp per element) _PHI_BLOCK values at a
+time; Phi^-1, which the stage-1 paths take on one value per cell only, maps
+the scalar body over an array.
 """
 
 from __future__ import annotations
@@ -34,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     InfeasibleMomentsError,
@@ -85,6 +95,171 @@ class PnMoments:
 
     def __post_init__(self):
         _coerce_floats(self, "m", "zeta")
+
+
+# Cephes polynomial coefficients, highest power first; the Q, S, U and
+# ndtri Q arrays omit their leading 1
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1, 1.96520832956077098242e2,
+           5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc underflows below -MAXLOG
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+
+# values per pass of Phi's array body, which costs ~70 us per pass plus
+# ~0.12 us per value and holds ~150 bytes per value (its boxed lists of
+# math.exp arguments and results included)
+_PHI_BLOCK = 4096
+
+
+def _polevl(x, coef):
+    """Horner's rule over ``coef`` (highest power first), on floats or arrays."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """_polevl with an implied leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr_one(a: float) -> float:
+    """Cephes ndtr(a) = Phi(a) of one float, through erf below |a| = 1 and
+    erfc (its rational forms below and above |x| = 8) beyond."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        xx = x * x
+        return 0.5 + 0.5 * (x * _polevl(xx, _ERF_T) / _p1evl(xx, _ERF_U))
+    # y = erfc(z), which is 1 - erf(z) below z = 1
+    if z < 1.0:
+        zz = z * z
+        y = 1.0 - z * _polevl(zz, _ERF_T) / _p1evl(zz, _ERF_U)
+    elif -z * z < -_MAXLOG:
+        y = 0.0
+    elif z < 8.0:
+        y = math.exp(-z * z) * _polevl(z, _NDTR_P) / _p1evl(z, _NDTR_Q)
+    else:
+        y = math.exp(-z * z) * _polevl(z, _NDTR_R) / _p1evl(z, _NDTR_S)
+    y = 0.5 * y
+    return 1.0 - y if x > 0.0 else y
+
+
+def _ndtr_many(a):
+    """_ndtr_one over a 1-d float array, branch by branch."""
+    out = np.empty_like(a)
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    near = z < _SQRT1_2
+    xn = x[near]
+    xx = xn * xn
+    out[near] = 0.5 + 0.5 * (xn * _polevl(xx, _ERF_T) / _p1evl(xx, _ERF_U))
+    far = ~near
+    z = z[far]
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = z * z
+        tail = z >= 8.0
+        y = (
+            np.array([math.exp(t) for t in (-zz).tolist()])
+            * np.where(tail, _polevl(z, _NDTR_R), _polevl(z, _NDTR_P))
+            / np.where(tail, _p1evl(z, _NDTR_S), _p1evl(z, _NDTR_Q))
+        )
+    mid = z < 1.0
+    y[mid] = 1.0 - z[mid] * _polevl(zz[mid], _ERF_T) / _p1evl(zz[mid], _ERF_U)
+    y[-zz < -_MAXLOG] = 0.0
+    y = 0.5 * y
+    out[far] = np.where(x[far] > 0.0, 1.0 - y, y)
+    out[np.isnan(a)] = np.nan
+    return out
+
+
+def _ndtri_one(p: float) -> float:
+    """Cephes ndtri(p) = Phi^-1(p) of one float: a rational form in p - 1/2
+    for exp(-2) < p < 1 - exp(-2), and in 1/sqrt(-2 log p) (below and above
+    8, that is p = exp(-32)) in the tails."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if p < 0.0 or p > 1.0:
+        return math.nan
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
+def _ndtr(a):
+    """Phi(a) elementwise, with scipy.special.ndtr's bits; a 0-d input gives a
+    float64 scalar, as a ufunc does."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        return np.float64(_ndtr_one(float(a)))
+    out = np.empty(a.shape)
+    flat_out, a = out.reshape(-1), a.reshape(-1)
+    for start in range(0, a.size, _PHI_BLOCK):
+        block = slice(start, start + _PHI_BLOCK)
+        flat_out[block] = _ndtr_many(a[block])
+    return out
+
+
+def _ndtri(p):
+    """Phi^-1(p) elementwise, with scipy.special.ndtri's bits; a 0-d input
+    gives a float64 scalar, as a ufunc does."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        return np.float64(_ndtri_one(float(p)))
+    return np.array([_ndtri_one(t) for t in p.reshape(-1).tolist()]).reshape(p.shape)
 
 
 # 64-node Gauss-Legendre rule: the integrand u -> exp(-h^2/(1+sin u)) is
@@ -149,7 +324,7 @@ def pn_moments_vec(mu, sigma2):
     sigma2 = np.asarray(sigma2, dtype=float)
     v = mu / np.sqrt(1.0 + sigma2)
     eta = sigma2 / (1.0 + sigma2)
-    m = ndtr(v)
+    m = _ndtr(v)
     zeta = _phi2_correction_gl(v, eta)
     # guard quadrature round-off at the feasibility edges
     zeta = np.clip(zeta, 0.0, m * (1.0 - m))
@@ -198,7 +373,7 @@ def pn_from_moments_vec(m, zeta):
     zeta = np.asarray(zeta, dtype=float)
     if m.shape != zeta.shape:
         m, zeta = np.broadcast_arrays(m, zeta)
-    v = ndtri(m)
+    v = _ndtri(m)
     h2 = v * v
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_zeta = np.log(zeta)

@@ -894,6 +894,27 @@ class TestCmdUpdate:
                 assert err.startswith(f"error: {field_in}: building {bid}, state {state}: ")
             assert not out.exists()
 
+    def test_repeated_observation_column_exit_2(self, tmp_path, capsys):
+        # the last "y" used to win silently, here turning 0.9 into 0.1
+        cfg, _ = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])
+        (tmp_path / "obs.csv").write_text("building_id,state,y,y\nb0,moderate,0.9,0.1\n")
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {tmp_path / 'obs.csv'}: column 'y' appears more than once\n"
+        assert not out.exists()
+
+    def test_trailing_blank_columns_are_read(self, tmp_path):
+        # a spreadsheet export's empty trailing columns repeat only the blank name
+        cfg, _ = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])
+        plain = tmp_path / "plain"
+        assert main(["update", "--config", str(cfg), "--out", str(plain)]) == 0
+        (tmp_path / "obs.csv").write_text("building_id,state,y,,\nb0,moderate,1.0,,\n")
+        out = tmp_path / "out"
+        assert main(["update", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "field.csv").read_bytes() == (plain / "field.csv").read_bytes()
+
     def test_dry_run_writes_nothing(self, tmp_path):
         cfg, _ = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])
         out = tmp_path / "out"
@@ -928,8 +949,15 @@ def _oversized_field(path):
         fh.write("x" * (csv.field_size_limit() + 1) + "\n")
 
 
+def _repeat_last_column(path):
+    """Name the header's last column twice, copying its value in every row."""
+    lines = path.read_text().splitlines()
+    path.write_text("".join(f"{line},{line.rsplit(',', 1)[-1]}\n" for line in lines))
+
+
 _FAULTS = {
     "short_row": (_cut_to_first_field, ":2: 1 field(s)"),
+    "repeated_column": (_repeat_last_column, "appears more than once"),
     "non_utf8": (_insert_non_utf8, "not utf-8 text"),
     "oversized_field": (_oversized_field, "field larger than field limit"),
 }

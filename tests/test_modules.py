@@ -1,7 +1,8 @@
 """Every fragfield module imports, and every name its ``__all__`` lists exists.
 
-The commands that never reach the GP load numpy and scipy.special only; the
-GP paths add scipy.linalg, and none loads scipy.optimize.  ``prior`` and
+Importing the CLI loads no scipy module.  The commands that never reach the
+GP load numpy and no scipy; the GP paths add scipy.linalg, and none loads
+scipy.special or scipy.optimize.  ``prior`` and
 ``update --mode local`` on a 20,000-building inventory stay within a fixed
 memory budget above the import's, and ``update --mode gp`` on 700 buildings
 within three n x n kernel buffers.
@@ -38,14 +39,23 @@ def test_all_names_exist(name):
 
 
 # runs each command in one fresh interpreter, then reports the exit codes
-# and which of the GP's scipy subpackages that interpreter loaded
+# and which of the scipy subpackages it watches that interpreter loaded
 _COLD_START = """
 import json, sys
 from fragfield.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.special")
 print(json.dumps([codes, sorted(m for m in heavy if m in sys.modules)]))
 """
+
+
+def test_importing_the_cli_loads_no_scipy():
+    loaded, stderr = fresh(
+        "import json, sys\nimport fragfield.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+        [],
+    )
+    assert loaded == [], stderr
 
 
 @pytest.fixture
@@ -111,7 +121,7 @@ def fresh(script, argvs):
 
 
 def cold_start(argvs):
-    """(exit codes, heavy scipy subpackages loaded) of one fresh interpreter
+    """(exit codes, watched scipy subpackages loaded) of one fresh interpreter
     that runs ``argvs`` in turn."""
     (codes, loaded), stderr = fresh(_COLD_START, argvs)
     assert codes == [0] * len(argvs), stderr

@@ -14,10 +14,15 @@ from fragfield.errors import (
     InvalidInputError,
 )
 from fragfield.probit_normal import (
+    _PHI_BLOCK,
     _QUAD_BLOCK,
     SIGMA2_CAP,
     PnMarginal,
     PnMoments,
+    _ndtr,
+    _ndtr_one,
+    _ndtri,
+    _ndtri_one,
     _phi2_correction_gl,
     _phi2_correction_u,
     clip_ordinal_probit,
@@ -61,6 +66,83 @@ class TestStdNormal:
     def test_quantile_domain(self, p):
         with pytest.raises(InvalidInputError, match="strictly inside"):
             pn_from_moments(PnMoments(p, 0.0))
+
+
+def _ulps_around(x, k=32):
+    """``x`` and the k doubles on each side of it."""
+    return (np.array([float(x)]).view(np.int64) + np.arange(-k, k + 1)).view(float)
+
+
+def _ndtr_inputs():
+    rng = np.random.default_rng(19)
+    edges = [
+        # |a| = 1, where ndtr leaves erf for erfc; erfc's own switches at
+        # |x| = 1 and 8 (x = a / sqrt 2); its MAXLOG underflow near a = -37.7
+        *(_ulps_around(s * c) for s in (1.0, -1.0) for c in (1.0, math.sqrt(2.0), 8 * math.sqrt(2.0))),
+        _ulps_around(-math.sqrt(2.0 * 7.09782712893383996843e2)),
+        _ulps_around(math.sqrt(2.0 * 7.09782712893383996843e2)),
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308],
+    ]
+    return np.concatenate(
+        [rng.normal(0.0, 3.0, 500_000), rng.uniform(-40.0, 40.0, 500_000),
+         rng.normal(0.0, 1e-3, 20_000), *map(np.asarray, edges)]
+    )
+
+
+def _ndtri_inputs():
+    rng = np.random.default_rng(91)
+    # p where x = sqrt(-2 log p) crosses 8 (p = exp(-32), 1.27e-14), in steps
+    # of a few ulps of p: one ulp of x spans about 64 of them
+    x8 = math.exp(-32.0) * (1.0 + np.linspace(-1e-12, 1e-12, 4001))
+    xs = [math.sqrt(-2.0 * math.log(p)) for p in x8]
+    assert min(xs) < 8.0 <= max(xs)
+    edges = [
+        # p = exp(-2) and 1 - exp(-2), where the tails begin
+        _ulps_around(math.exp(-2.0)), _ulps_around(1.0 - math.exp(-2.0)),
+        x8, 1.0 - x8,
+        # subnormal p, the smallest normal, and p at 0 and 1
+        _ulps_around(5e-324), _ulps_around(2.2250738585072014e-308), _ulps_around(1.0),
+        [0.0, -0.0, 1.0, 0.5, math.nan, -math.nan, math.inf, -math.inf, -1e-300, 2.0],
+    ]
+    return np.concatenate(
+        [rng.uniform(0.0, 1.0, 400_000), 10.0 ** rng.uniform(-324.0, 0.0, 300_000),
+         1.0 - 10.0 ** rng.uniform(-17.0, 0.0, 300_000), rng.uniform(-1.0, 2.0, 20_000),
+         *map(np.asarray, edges)]
+    )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "ours, one, theirs, inputs",
+    [(_ndtr, _ndtr_one, ndtr, _ndtr_inputs), (_ndtri, _ndtri_one, ndtri, _ndtri_inputs)],
+    ids=["ndtr", "ndtri"],
+)
+class TestPhiMatchesScipy:
+    """The private Phi and Phi^-1 return scipy.special's bits (NaNs included),
+    through the scalar body and on arrays (Phi's array body, block by block),
+    in every shape."""
+
+    def test_bit_equal_on_arrays_and_one_by_one(self, ours, one, theirs, inputs):
+        x = inputs()
+        assert x.size > 1_000_000
+        want = _bits(theirs(x))
+        assert np.array_equal(_bits(ours(x)), want)
+        assert np.array_equal(_bits([one(t) for t in x.tolist()]), want)
+
+    def test_shapes(self, ours, one, theirs, inputs):
+        x = inputs()[::100]
+        assert x.size > 2 * _PHI_BLOCK
+        for v in x[:50].tolist():  # 0-d: a float64 scalar, as from the ufunc
+            got = ours(np.asarray(v))
+            assert type(got) is np.float64 and _bits(got) == _bits(theirs(v))
+        for shape in [(0,), (1,), (7, 3), (_PHI_BLOCK,), (x.size,), (x.size // 3, 3), (0, 3)]:
+            a = x[: math.prod(shape)].reshape(shape)
+            got = ours(a)
+            assert got.shape == shape
+            assert np.array_equal(_bits(got), _bits(theirs(a)))
 
 
 def bivariate_equal_cdf(h: float, rho: float) -> float:
