@@ -10,10 +10,10 @@ surrogate in closed form (alpha' = alpha + sum w*y, gamma' = gamma +
 sum w*(1-y)), and the posterior moments are mapped back to a PN marginal.
 Chaining the cycle over batches is algebraically identical to accumulating
 (alpha, gamma) once.  Neither the experiment runner nor ``fragfield update``
-relies on that: both hand their cells to ``update_cells``, which runs one
-cycle per cell.  The runner gives each cell its single observation of a
-batch, and ``update`` folds all of one call's observations of a cell into
-one cycle.
+relies on that: both hand their observations to ``update_cells`` as columns
+(building row, state, y, w), and it runs one cycle per observed cell.  The
+runner passes one observation per cell of a batch, and ``update`` passes
+every observation row of one call, so a cell's rows fold into one cycle.
 
 kl_pn_beta quantifies the information loss of the surrogate swap by direct
 quadrature of the densities over the whole probit axis z = Phi^-1(x).  The
@@ -28,10 +28,13 @@ region.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import (
     DegenerateSurrogateError,
@@ -141,25 +144,29 @@ def local_update_cycle(
     return pn_from_moments(beta_moments(posterior))
 
 
-def update_cells(mu, sigma2, cells) -> None:
-    """Run ``local_update_cycle`` on each cell of a field, in place.
+def update_cells(mu, sigma2, i, j, y, w) -> None:
+    """Run ``local_update_cycle`` on each observed cell of a field, in place.
 
-    ``mu`` and ``sigma2`` are the field's (n_buildings, n_states) arrays and
-    ``cells`` yields ``((i, j), observations)`` pairs.  Each cell is updated
-    on its own, so the order of the cells does not change the result.  A
-    cell the cycle rejects stops the pass with its ``InvalidInputError``,
-    whose ``cell`` attribute is then that cell's (i, j).
+    ``mu`` and ``sigma2`` are the field's (n_buildings, n_states) arrays;
+    ``i``, ``j``, ``y`` and ``w`` hold one entry per observation: its
+    building row, its state, its soft exceedance and its weight.  A stable
+    sort groups the observations by cell, and each cell runs one cycle on
+    its observations in the order given, so the cells may come in any order
+    and interleaved.  A cell the cycle rejects stops the pass with its
+    ``InvalidInputError``, whose ``cell`` attribute is then that cell's
+    (i, j); the cells are visited in (i, j) order.
     """
-    for (i, j), batch in cells:
+    order = np.lexsort((j, i))
+    rows = zip(*(np.asarray(col)[order].tolist() for col in (i, j, y, w)))
+    for cell, group in itertools.groupby(rows, key=lambda row: row[:2]):
+        batch = [WeightedObservation(y=yk, weight=wk) for _, _, yk, wk in group]
         try:
-            post = local_update_cycle(
-                PnMarginal(mu=mu[i, j], sigma2=sigma2[i, j]), batch
-            )
+            post = local_update_cycle(PnMarginal(mu=mu[cell], sigma2=sigma2[cell]), batch)
         except InvalidInputError as exc:
-            exc.cell = (i, j)
+            exc.cell = cell
             raise
-        mu[i, j] = post.mu
-        sigma2[i, j] = post.sigma2
+        mu[cell] = post.mu
+        sigma2[cell] = post.sigma2
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

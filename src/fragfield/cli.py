@@ -20,8 +20,10 @@ import os
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from . import __version__
-from .beta_bridge import WeightedObservation, update_cells
+from .beta_bridge import update_cells
 from .errors import ConfigError, InvalidInputError, NumericalFailureError, check_number
 from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
 from .field_state import STATES
@@ -142,7 +144,7 @@ _GP_BUDGET = {"gp_restarts": 1, "gp_max_iter": 100}
 
 
 def _group_observations(fs, observations, weights):
-    """Map (building row, state index) -> list of WeightedObservation.
+    """The (building row, state index, y, weight) columns of the observations.
 
     Unknown building ids or missing (source, state) weights abort with the
     first ten offenders listed.
@@ -151,7 +153,7 @@ def _group_observations(fs, observations, weights):
     state_index = {s: j for j, s in enumerate(STATES)}
     unknown = []
     missing_w = []
-    grouped: dict = {}
+    i, j, y, w = [], [], [], []
     for obs in observations:
         bid = obs["building_id"]
         if bid not in row_of:
@@ -161,10 +163,10 @@ def _group_observations(fs, observations, weights):
         if key not in weights:
             missing_w.append(f"{key[0]}/{key[1]}")
             continue
-        cell = (row_of[bid], state_index[obs["state"]])
-        grouped.setdefault(cell, []).append(
-            WeightedObservation(y=obs["y"], weight=weights[key])
-        )
+        i.append(row_of[bid])
+        j.append(state_index[obs["state"]])
+        y.append(obs["y"])
+        w.append(weights[key])
     if unknown:
         first = list(dict.fromkeys(unknown))[:10]
         raise InvalidInputError(
@@ -176,7 +178,7 @@ def _group_observations(fs, observations, weights):
         raise InvalidInputError(
             f"no weight for source/state pair(s): {', '.join(first)}"
         )
-    return grouped
+    return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(y), np.array(w)
 
 
 def cmd_update(config_path, out_dir, seed, dry_run) -> int:
@@ -202,11 +204,15 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
         check_exact_size(fs.n_buildings, fs.n_states)
     observations = read_observations_csv(_resolve(doc, "observations", config_path))
     weights = read_weights_csv(_resolve(doc, "weights", config_path))
-    grouped = _group_observations(fs, observations, weights)
-    # before the dry-run return, so a dry run rejects what the update rejects
+    columns = _group_observations(fs, observations, weights)
+    # before the dry-run return, so a dry run rejects what the update rejects:
+    # a cell the local cycle cannot take, or, in gp mode, one the GP cannot
     try:
-        update_cells(fs.mu, fs.sigma2, grouped.items())
+        update_cells(fs.mu, fs.sigma2, *columns)
+        pts = FieldPoints.from_field_state(fs) if mode == "gp" else None
     except InvalidInputError as exc:
+        if not hasattr(exc, "cell"):
+            raise
         i, j = exc.cell
         raise InvalidInputError(
             f"{field_path}: building {fs.ids[i]}, state {STATES[j]}: {exc}"
@@ -217,7 +223,6 @@ def cmd_update(config_path, out_dir, seed, dry_run) -> int:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if mode == "gp":
-        pts = FieldPoints.from_field_state(fs)
         params = fit_hyperparameters(
             pts,
             data_informed_init(pts),

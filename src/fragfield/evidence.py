@@ -9,26 +9,24 @@ to an epistemic weight
     w = -2 * log2(1 - F1),
 
 so every +2 units of weight halves the remaining prediction error.
-``calibrate_weights`` does both for one source.  The experiment runner calls
-it on its simulated calibration draws; ``fragfield update`` reads ready-made
-weights from its ``weights.csv`` and scores no calibration set itself.
+``calibrate_weights`` does both for one source, from its calibration set as
+two (n_samples, n_states) arrays: the true exceedance indicators and the
+source's predicted exceedances.  The experiment runner calls it on its
+simulated calibration draws; ``fragfield update`` reads ready-made weights
+from its ``weights.csv`` and scores no calibration set itself.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedScoreError
 
 __all__ = [
-    "EvaluationSample",
     "exceedance_from_categorical",
-    "soft_confusion",
     "soft_f1",
     "weight_from_f1",
     "calibrate_weights",
@@ -38,28 +36,6 @@ __all__ = [
 DEFAULT_W_MAX = 30.0
 
 _SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EvaluationSample:
-    """Ground-truth exceedance indicators o_j plus predicted exceedances g_j."""
-
-    o: tuple
-    g: tuple
-
-    def __post_init__(self):
-        o = tuple(float(v) for v in self.o)
-        g = tuple(float(v) for v in self.g)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "g", g)
-        if len(o) != len(g):
-            raise InvalidInputError("o and g must have equal length")
-        if any(v not in (0.0, 1.0) for v in o):
-            raise InvalidInputError("ground-truth indicators must be 0 or 1")
-        if any(a < b for a, b in zip(o, o[1:])):
-            raise InvalidInputError("exceedance indicators must be non-increasing")
-        if any(not 0.0 <= v <= 1.0 for v in g):
-            raise InvalidInputError("predicted exceedances must lie in [0, 1]")
 
 
 def exceedance_from_categorical(pred) -> np.ndarray:
@@ -79,21 +55,6 @@ def exceedance_from_categorical(pred) -> np.ndarray:
         raise InvalidInputError(f"state probabilities sum to {np.max(total)} > 1")
     y = np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
     return np.clip(y, 0.0, 1.0)
-
-
-def soft_confusion(samples: Iterable[EvaluationSample], state: int):
-    """Expected (TP, FP, FN) counts for one exceedance threshold."""
-    samples = list(samples)
-    if not samples:
-        raise InvalidInputError("soft confusion needs at least one sample")
-    tp = fp = fn = 0.0
-    for smp in samples:
-        o = smp.o[state]
-        g = smp.g[state]
-        tp += g * o
-        fp += g * (1.0 - o)
-        fn += (1.0 - g) * o
-    return tp, fp, fn
 
 
 def soft_f1(tp: float, fp: float, fn: float) -> float:
@@ -125,18 +86,30 @@ def weight_from_f1(f1: float, w_max: float = DEFAULT_W_MAX) -> float:
     return w
 
 
-def calibrate_weights(
-    samples: Sequence[EvaluationSample], w_max: float
-) -> tuple[np.ndarray, np.ndarray]:
+def calibrate_weights(o, g, w_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-state (weights, F1) of one source from its calibration set.
 
-    F1 is the soft F1 of each exceedance threshold, and each weight is
-    ``weight_from_f1(F1, w_max)``; both are arrays of one entry per state.
+    ``o`` holds the ground-truth exceedance indicators and ``g`` the
+    predicted exceedances, one (n_samples, n_states) row per sample.  Each
+    state's soft confusion counts TP = sum g*o, FP = sum g*(1-o) and
+    FN = sum (1-g)*o add in sample order; F1 is their soft F1 and each
+    weight is ``weight_from_f1(F1, w_max)``, both one entry per state.
     """
-    samples = list(samples)
-    if not samples:
+    o = np.asarray(o, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if o.size == 0:
         raise InvalidInputError("empty calibration set")
-    n_states = len(samples[0].o)
-    f1 = np.array([soft_f1(*soft_confusion(samples, j)) for j in range(n_states)])
-    weights = np.array([weight_from_f1(f, w_max=w_max) for f in f1])
+    if o.ndim != 2 or o.shape != g.shape:
+        raise InvalidInputError("o and g must have equal length")
+    if np.any((o != 0.0) & (o != 1.0)):
+        raise InvalidInputError("ground-truth indicators must be 0 or 1")
+    if np.any(np.diff(o, axis=1) > 0.0):
+        raise InvalidInputError("exceedance indicators must be non-increasing")
+    if not np.all((g >= 0.0) & (g <= 1.0)):
+        raise InvalidInputError("predicted exceedances must lie in [0, 1]")
+    # running sums in sample order: np.sum may add pairwise, which moves the
+    # last bits
+    counts = np.cumsum([g * o, g * (1.0 - o), (1.0 - g) * o], axis=1)[:, -1]
+    f1 = np.array([soft_f1(*state) for state in counts.T.tolist()])
+    weights = np.array([weight_from_f1(f, w_max=w_max) for f in f1.tolist()])
     return weights, f1

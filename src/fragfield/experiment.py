@@ -31,12 +31,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .beta_bridge import WeightedObservation, update_cells
+from .beta_bridge import update_cells
 from .cluster import balanced_kmeans
 from .errors import InvalidInputError, check_number
 from .evidence import (
     DEFAULT_W_MAX,
-    EvaluationSample,
     calibrate_weights,
     exceedance_from_categorical,
 )
@@ -257,17 +256,16 @@ def generate_truth(inventory, track: TornadoTrack, rng) -> np.ndarray:
     x = np.array([b.x for b in inventory])
     y = np.array([b.y for b in inventory])
     v = wind_speeds(distances_to_centerline(x, y, track), track)
-    classes = np.zeros(len(inventory), dtype=int)
-    for k, b in enumerate(inventory):
-        med = table.medians[b.archetype]
-        disp = table.dispersions[b.archetype]
-        cls = 0
-        for j in range(len(med)):
-            cap = math.exp(math.log(med[j]) + disp[j] * rng.standard_normal())
-            if v[k] >= cap:
-                cls = j + 1
-        classes[k] = cls
-    return classes
+    arch = [b.archetype for b in inventory]
+    n, d = len(inventory), len(STATES)
+    # one draw in building-major order is the stream of one draw per cell;
+    # math.log and math.exp, because numpy's SIMD ones can differ in the last bit
+    z = rng.standard_normal((n, d)).ravel().tolist()
+    med = [m for a in arch for m in table.medians[a]]
+    disp = [s for a in arch for s in table.dispersions[a]]
+    cap = [math.exp(math.log(m) + s * e) for m, s, e in zip(med, disp, z)]
+    met = v[:, None] >= np.reshape(cap, (n, d))
+    return (met * np.arange(1, d + 1)).max(axis=1)  # the highest state met, or 0
 
 
 def simulate_observer(true_classes: np.ndarray, observer: ObserverModel, rng) -> np.ndarray:
@@ -317,15 +315,15 @@ def calibrate_observer(inventory, true_classes, observer: ObserverModel, rng):
     soft_cal = simulate_observer(true_classes[idx], observer, rng)
     hard = hard_exceedance(true_classes[idx])
     g = exceedance_from_categorical(soft_cal[:, 1:])
-    samples = [EvaluationSample(o=tuple(hard[k]), g=tuple(g[k])) for k in range(size)]
-    return calibrate_weights(samples, observer.w_max)
+    return calibrate_weights(hard, g, observer.w_max)
 
 
 def make_batches(observed_ids, strategy: str, n_batches: int, seed, coords=None):
     """Partition observed ids into n_batches sets with sizes within 1.
 
-    random: seeded shuffle, round-robin slicing.  grouped: balanced k-means
-    on coordinates (coords required, aligned with observed_ids).
+    random: a seeded shuffle cut into consecutive slices, the larger ones
+    first (``np.array_split``).  grouped: balanced k-means on coordinates
+    (coords required, aligned with observed_ids).
     """
     observed_ids = list(observed_ids)
     if not observed_ids:
@@ -335,13 +333,9 @@ def make_batches(observed_ids, strategy: str, n_batches: int, seed, coords=None)
     rng = np.random.default_rng(seed)
     if strategy == "random":
         order = rng.permutation(len(observed_ids))
-        sizes = np.full(n_batches, len(observed_ids) // n_batches)
-        sizes[: len(observed_ids) % n_batches] += 1
-        batches, pos = [], 0
-        for s in sizes:
-            batches.append([observed_ids[k] for k in order[pos : pos + s]])
-            pos += s
-        return batches
+        return [
+            [observed_ids[k] for k in part] for part in np.array_split(order, n_batches)
+        ]
     if strategy == "grouped":
         if coords is None:
             raise InvalidInputError("grouped strategy needs coordinates")
@@ -451,15 +445,9 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
             rows = {mode: [] for mode in config.modes}
             for step, batch in enumerate([(), *batches_by_strategy[strategy], holdout_rows]):
                 if step:  # each batch, then the holdout: one observation per state
-                    update_cells(
-                        fs.mu,
-                        fs.sigma2,
-                        (
-                            ((r, j), [WeightedObservation(y=float(y_obs[r, j]), weight=float(w))])
-                            for r in batch
-                            for j, w in enumerate(weights)
-                        ),
-                    )
+                    i = np.repeat(batch, len(weights))
+                    j = np.tile(np.arange(len(weights)), len(batch))
+                    update_cells(fs.mu, fs.sigma2, i, j, y_obs[i, j], weights[j])
                 for mode in config.modes:
                     if mode == "local-only":
                         m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
@@ -476,9 +464,9 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
                             post = exact_posterior(pts, gp_params)
                             if step == 0:
                                 step0_fits[width] = gp_params, post
-                        m_flat, var_flat = pn_moments_vec(post.mean, post.var)
-                        m = m_flat.reshape(fs.mu.shape)
-                        var_p = var_flat.reshape(fs.mu.shape)
+                        m, var_p = (
+                            a.reshape(fs.mu.shape) for a in pn_moments_vec(post.mean, post.var)
+                        )
                         key = dict(mode=mode, strategy=strategy, prior_width_m=width, step=step)
                         trajectory.append(
                             TrajectoryRecord(
@@ -487,7 +475,7 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
                                 log_marginal_likelihood=post.log_evidence,
                             )
                         )
-                        count = ordinality_violation_count(pts, m_flat)
+                        count = ordinality_violation_count(m)
                         violations.append({**key, "count": count})
                     rows[mode] += _metrics_for(
                         step, mode, strategy, width, m, var_p, y_obs, y_true, observed_mask

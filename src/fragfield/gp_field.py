@@ -104,8 +104,12 @@ class FieldPoints:
                 raise InvalidInputError("field point columns must share length")
         if n == 0:
             raise InvalidInputError("empty point set")
-        if np.any(self.noise_var <= 0):
-            raise InvalidInputError("noise_var must be > 0")
+        bad = np.flatnonzero(self.noise_var <= 0)
+        if bad.size:
+            # the first such (building, state), as update_cells tags a cell
+            exc = InvalidInputError("noise_var must be > 0")
+            exc.cell = (int(self.i[bad[0]]), int(self.j[bad[0]]))
+            raise exc
         if not (
             np.all(np.isfinite(self.x))
             and np.all(np.isfinite(self.y))
@@ -706,11 +710,9 @@ def sparse_variational_posterior(
     return GpPosterior(mean=mean, var=np.maximum(var, 0.0), log_evidence=elbo)
 
 
-def ordinality_violation_count(points: FieldPoints, mean_p) -> int:
-    """Number of buildings whose probability means increase with severity
-    (by more than 1e-12 between consecutive states)."""
-    order = np.lexsort((points.j, points.i))
-    i = points.i[order]
-    mean_p = np.asarray(mean_p, dtype=float)[order]
-    rises = (np.diff(mean_p) > 1e-12) & (i[1:] == i[:-1])
-    return int(np.unique(i[1:][rises]).size)
+def ordinality_violation_count(m) -> int:
+    """Number of buildings whose exceedance means rise with severity (by more
+    than 1e-12 between consecutive states); ``m`` is an (n_buildings,
+    n_states) array, so any field can be counted."""
+    rises = np.diff(np.asarray(m, dtype=float), axis=1) > 1e-12
+    return int(np.count_nonzero(rises.any(axis=1)))

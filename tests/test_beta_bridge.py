@@ -196,21 +196,25 @@ class TestLocalUpdateCycle:
 
 class TestUpdateCells:
     def test_shuffled_cells_equal_cell_by_cell_cycles(self):
+        # up to three observations per cell, the cells interleaved and the
+        # rows shuffled: each cell still runs one cycle on its own rows, in
+        # the order given
         rng = np.random.default_rng(31)
         mu = rng.normal(-1.0, 1.5, (40, 3))
         sigma2 = rng.uniform(0.0, 3.0, (40, 3))
-        cells = [
-            ((i, j), [obs(y, w) for y, w in zip(rng.uniform(0, 1, k), rng.uniform(0, 8, k))])
-            for i in range(40)
-            for j in range(3)
-            for k in [rng.integers(0, 4)]
-        ]
+        k = rng.integers(0, 4, mu.shape)
+        i, j = (np.repeat(a.ravel(), k.ravel()) for a in np.indices(mu.shape))
+        order = rng.permutation(len(i))
+        i, j = i[order], j[order]
+        y, w = rng.uniform(0, 1, len(i)), rng.uniform(0, 8, len(i))
         expected_mu, expected_sigma2 = mu.copy(), sigma2.copy()
-        for (i, j), batch in cells:
-            post = local_update_cycle(PnMarginal(mu[i, j], sigma2[i, j]), batch)
-            expected_mu[i, j], expected_sigma2[i, j] = post.mu, post.sigma2
-        order = rng.permutation(len(cells))
-        update_cells(mu, sigma2, (cells[k] for k in order))
+        for cell in zip(*np.nonzero(k)):
+            rows = np.flatnonzero((i == cell[0]) & (j == cell[1]))
+            post = local_update_cycle(
+                PnMarginal(mu[cell], sigma2[cell]), [obs(y[r], w[r]) for r in rows]
+            )
+            expected_mu[cell], expected_sigma2[cell] = post.mu, post.sigma2
+        update_cells(mu, sigma2, i, j, y, w)
         assert np.array_equal(mu, expected_mu)
         assert np.array_equal(sigma2, expected_sigma2)
 

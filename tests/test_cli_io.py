@@ -822,6 +822,42 @@ class TestCmdUpdate:
             assert "sparse_variational_posterior" not in err
         assert not out.exists()
 
+    def test_gp_mode_zero_variance_cell_exit_2_before_writing(self, tmp_path, capsys):
+        # both spreads 0 give sigma2 = 0 in every prior cell: local mode takes
+        # that field, but sigma2 is the GP's noise variance, which must be > 0
+        cfg = _prior_config(tmp_path, extra={"eps_hazard": 0, "eps_capacity": 0})
+        assert main(["prior", "--config", str(cfg), "--out", str(tmp_path / "prior")]) == 0
+        fs = read_field_csv(tmp_path / "prior" / "field.csv")
+        assert np.all(fs.sigma2 == 0)
+        for mode, code in (("local", 0), ("gp", 2)):
+            mode_dir = tmp_path / mode
+            mode_dir.mkdir()
+            cfg, field_in = _update_fixture(
+                mode_dir, obs_rows=[["b0", "moderate", 1.0]], mode=mode, field=fs
+            )
+            out = mode_dir / "out"
+            for dry in (["--dry-run"], []):
+                assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == code
+                err = capsys.readouterr().err
+            if code:
+                # the observed cell has a posterior variance; the next has none
+                assert err == (
+                    f"error: {field_in}: building b0, state extensive: noise_var must be > 0\n"
+                )
+                assert not out.exists()
+
+    def test_gp_mode_coordinates_beyond_float_range_exit_2(self, tmp_path, capsys):
+        # x = 1e308 twice is finite, but its mean overflows when the GP
+        # standardizes the coordinates; no cell is at fault, so none is named
+        fs = _toy_field()
+        fs.x[:] = 1e308
+        cfg, _ = _update_fixture(tmp_path, obs_rows=[], mode="gp", field=fs)
+        out = tmp_path / "out"
+        for dry in (["--dry-run"], []):
+            assert main(["update", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            assert capsys.readouterr().err == "error: field point columns must be finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("column, value", [("mu", "nan"), ("sigma2", "inf")])
     def test_nonfinite_field_cell_exit_2(self, tmp_path, capsys, column, value):
         cfg, field_in = _update_fixture(tmp_path, obs_rows=[["b0", "moderate", 1.0]])

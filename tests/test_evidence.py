@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,18 @@ from hypothesis import strategies as st
 from fragfield.errors import InvalidInputError, UndefinedScoreError
 from fragfield.evidence import (
     DEFAULT_W_MAX,
-    EvaluationSample,
     calibrate_weights,
     exceedance_from_categorical,
-    soft_confusion,
     soft_f1,
     weight_from_f1,
+)
+from fragfield.experiment import (
+    _streams,
+    default_config,
+    generate_inventory,
+    generate_truth,
+    hard_exceedance,
+    simulate_observer,
 )
 
 
@@ -70,61 +77,79 @@ class TestExceedance:
         assert np.all((y >= 0) & (y <= 1))
 
 
+def _scalar_calibration(o, g, w_max):
+    """The per-sample loop calibrate_weights replaced: each state's soft
+    confusion counts added one sample at a time, in order."""
+    f1 = []
+    for j in range(len(o[0])):
+        tp = fp = fn = 0.0
+        for ok, gk in zip(o, g):
+            tp += float(gk[j]) * float(ok[j])
+            fp += float(gk[j]) * (1.0 - float(ok[j]))
+            fn += (1.0 - float(gk[j])) * float(ok[j])
+        f1.append(soft_f1(tp, fp, fn))
+    return [weight_from_f1(f, w_max=w_max) for f in f1], f1
+
+
+def _f1(o, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # perfect F1 clamps
+        return calibrate_weights(o, g, DEFAULT_W_MAX)[1]
+
+
 class TestSoftConfusion:
+    """The soft confusion counts, seen through calibrate_weights' F1."""
+
     def test_single_positive(self):
-        smp = EvaluationSample(o=(1, 1, 1), g=(0.9, 0.9, 0.9))
-        assert soft_confusion([smp], 0) == pytest.approx((0.9, 0.0, 0.1))
+        # TP 0.9, FP 0, FN 0.1
+        assert _f1([[1, 1, 1]], [[0.9, 0.9, 0.9]]) == pytest.approx([1.8 / 1.9] * 3)
 
     def test_single_negative(self):
-        smp = EvaluationSample(o=(0, 0, 0), g=(0.9, 0.9, 0.9))
-        assert soft_confusion([smp], 0) == pytest.approx((0.0, 0.9, 0.0))
+        # TP 0, FP 0.9, FN 0
+        assert np.array_equal(_f1([[0, 0, 0]], [[0.9, 0.9, 0.9]]), [0.0] * 3)
 
     def test_perfect_hard(self):
-        samples = [
-            EvaluationSample(o=(1, 1, 0), g=(1, 1, 0)),
-            EvaluationSample(o=(1, 0, 0), g=(1, 0, 0)),
-        ]
-        for j in range(3):
-            tp, fp, fn = soft_confusion(samples, j)
-            assert fp == 0.0 and fn == 0.0
+        o = [[1, 1, 1], [1, 0, 0]]
+        assert np.array_equal(_f1(o, o), [1.0] * 3)
 
     def test_reduces_to_hard_confusion(self):
         rng = np.random.default_rng(5)
-        samples = []
-        for _ in range(200):
-            d = rng.integers(0, 4)
-            o = tuple(1.0 if d >= j else 0.0 for j in (1, 2, 3))
-            gd = rng.integers(0, 4)
-            g = tuple(1.0 if gd >= j else 0.0 for j in (1, 2, 3))
-            samples.append(EvaluationSample(o=o, g=g))
-        for j in range(3):
-            tp, fp, fn = soft_confusion(samples, j)
-            hard_tp = sum(s.g[j] == 1 and s.o[j] == 1 for s in samples)
-            hard_fp = sum(s.g[j] == 1 and s.o[j] == 0 for s in samples)
-            hard_fn = sum(s.g[j] == 0 and s.o[j] == 1 for s in samples)
-            assert (tp, fp, fn) == (hard_tp, hard_fp, hard_fn)
+        states = np.array([1, 2, 3])
+        o = (rng.integers(0, 4, 200)[:, None] >= states).astype(float)
+        g = (rng.integers(0, 4, 200)[:, None] >= states).astype(float)
+        hard = [
+            soft_f1(
+                np.sum((g[:, j] == 1) & (o[:, j] == 1)),
+                np.sum((g[:, j] == 1) & (o[:, j] == 0)),
+                np.sum((g[:, j] == 0) & (o[:, j] == 1)),
+            )
+            for j in range(3)
+        ]
+        assert np.array_equal(_f1(o, g), hard)
 
     def test_tp_fn_sum_to_positives(self):
+        # TP + FN counts the positives and TP + FP the predicted mass, so
+        # F1 = 2 TP / (TP + FN + TP + FP) = 2 sum(g*o) / (sum(o) + sum(g))
         rng = np.random.default_rng(6)
-        samples = [
-            EvaluationSample(
-                o=(1, 1, 1) if rng.random() < 0.5 else (0, 0, 0),
-                g=tuple(rng.uniform(0, 1, 3)),
-            )
-            for _ in range(50)
-        ]
-        tp, _, fn = soft_confusion(samples, 1)
-        assert tp + fn == pytest.approx(sum(s.o[1] for s in samples))
+        o = np.repeat((rng.random(50) < 0.5)[:, None], 3, axis=1).astype(float)
+        g = rng.uniform(0, 1, (50, 3))
+        expected = 2 * np.sum(g * o, axis=0) / (np.sum(o, axis=0) + np.sum(g, axis=0))
+        assert _f1(o, g) == pytest.approx(expected, rel=1e-12)
 
     def test_empty(self):
-        with pytest.raises(InvalidInputError):
-            soft_confusion([], 0)
+        with pytest.raises(InvalidInputError, match="empty calibration set"):
+            calibrate_weights(np.zeros((0, 3)), np.zeros((0, 3)), DEFAULT_W_MAX)
 
     def test_sample_validation(self):
-        with pytest.raises(InvalidInputError):
-            EvaluationSample(o=(0, 1, 0), g=(0.5, 0.5, 0.5))  # increasing o
-        with pytest.raises(InvalidInputError):
-            EvaluationSample(o=(1, 0.5, 0), g=(0.5, 0.5, 0.5))  # non-binary o
+        for o, g, message in (
+            ([[0, 1, 0]], [[0.5, 0.5, 0.5]], "non-increasing"),
+            ([[1, 0.5, 0]], [[0.5, 0.5, 0.5]], "must be 0 or 1"),
+            ([[1, 1, 0]], [[0.5, 1.5, 0.5]], r"must lie in \[0, 1\]"),
+            ([[1, 1, 0]], [[0.5, np.nan, 0.5]], r"must lie in \[0, 1\]"),
+            ([[1, 1, 0]], [[0.5, 0.5]], "equal length"),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                calibrate_weights(o, g, DEFAULT_W_MAX)
 
 
 class TestSoftF1:
@@ -176,19 +201,42 @@ class TestWeightFromF1:
 
 class TestCalibration:
     def test_weights_and_f1_per_state(self):
-        samples = [
-            EvaluationSample(o=(1, 1, 0), g=(0.95, 0.8, 0.1)),
-            EvaluationSample(o=(1, 0, 0), g=(0.9, 0.2, 0.05)),
-            EvaluationSample(o=(0, 0, 0), g=(0.1, 0.05, 0.02)),
-        ]
-        w, f1 = calibrate_weights(samples, 12.5)
+        o = [[1, 1, 0], [1, 0, 0], [0, 0, 0]]
+        g = [[0.95, 0.8, 0.1], [0.9, 0.2, 0.05], [0.1, 0.05, 0.02]]
+        w, f1 = calibrate_weights(o, g, 12.5)
         assert w.shape == f1.shape == (3,)
         assert np.all(w >= 0)
-        for j in range(3):
-            expected_f1 = soft_f1(*soft_confusion(samples, j))
-            assert f1[j] == expected_f1
-            assert w[j] == weight_from_f1(expected_f1, w_max=12.5)
+        expected_w, expected_f1 = _scalar_calibration(o, g, 12.5)
+        assert f1.tolist() == expected_f1
+        assert w.tolist() == expected_w
+
+    def test_equals_per_sample_loop_on_many_samples(self):
+        # the counts add in sample order, as the scalar += loop does, so no
+        # bit moves; a pairwise np.sum down each state's column moves the
+        # last bit of all three F1 here
+        rng = np.random.default_rng(9)
+        states = np.array([1, 2, 3])
+        o = (rng.integers(0, 4, 997)[:, None] >= states).astype(float)
+        g = exceedance_from_categorical(rng.dirichlet(np.ones(4), size=997)[:, 1:])
+        w, f1 = calibrate_weights(o, g, DEFAULT_W_MAX)
+        expected_w, expected_f1 = _scalar_calibration(o, g, DEFAULT_W_MAX)
+        assert f1.tolist() == expected_f1
+        assert w.tolist() == expected_w
+
+    def test_equals_per_sample_loop_on_default_calibration_draws(self):
+        cfg = default_config()
+        streams = _streams(cfg.seed)
+        inv = generate_inventory(cfg, streams["inventory"])
+        truth = generate_truth(inv, cfg.true_track, streams["truth"])
+        rng = streams["calibration"]
+        idx = rng.choice(len(inv), size=cfg.observer.calibration_size, replace=False)
+        soft = simulate_observer(truth[idx], cfg.observer, rng)
+        o, g = hard_exceedance(truth[idx]), exceedance_from_categorical(soft[:, 1:])
+        w, f1 = calibrate_weights(o, g, cfg.observer.w_max)
+        expected_w, expected_f1 = _scalar_calibration(o, g, cfg.observer.w_max)
+        assert f1.tolist() == expected_f1
+        assert w.tolist() == expected_w
 
     def test_empty(self):
         with pytest.raises(InvalidInputError):
-            calibrate_weights([], DEFAULT_W_MAX)
+            calibrate_weights([], [], DEFAULT_W_MAX)

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 import fragfield.experiment as experiment
 from fragfield.errors import InvalidInputError
-from fragfield.evidence import DEFAULT_W_MAX
+from fragfield.evidence import DEFAULT_W_MAX, calibrate_weights
 from fragfield.experiment import (
     MetricsRecord,
     ObserverModel,
@@ -27,9 +27,15 @@ from fragfield.experiment import (
     simulate_observer,
     soft_exceedance,
 )
-from fragfield.evidence import EvaluationSample, soft_confusion, soft_f1
 from fragfield.gp_field import EXACT_SOLVE_CAP
-from fragfield.hazard import Building, TornadoTrack, wind_speed
+from fragfield.hazard import (
+    Building,
+    FragilityTable,
+    TornadoTrack,
+    distances_to_centerline,
+    wind_speed,
+    wind_speeds,
+)
 
 STRAIGHT_TRACK = TornadoTrack(centerline=((0.0, 0.0), (10_000.0, 0.0)), width_total=1_600.0)
 
@@ -80,6 +86,28 @@ class TestGenerateTruth:
         b = generate_truth(inv, STRAIGHT_TRACK, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    def test_equals_per_cell_draw_loop_on_default_scenario(self):
+        """One (n, 3) draw is the stream of one scalar draw per cell, so the
+        classes and the generator's state after the call are those of the
+        per-building loop it replaced."""
+        cfg = default_config()
+        inv = generate_inventory(cfg, experiment._streams(cfg.seed)["inventory"])
+        table = FragilityTable.default()
+        xy = np.array([[b.x, b.y] for b in inv])
+        v = wind_speeds(distances_to_centerline(xy[:, 0], xy[:, 1], cfg.true_track), cfg.true_track)
+        rng = experiment._streams(cfg.seed)["truth"]
+        expected = np.zeros(len(inv), dtype=int)
+        for k, b in enumerate(inv):
+            med, disp = table.medians[b.archetype], table.dispersions[b.archetype]
+            for j in range(len(med)):
+                cap = math.exp(math.log(med[j]) + disp[j] * rng.standard_normal())
+                if v[k] >= cap:
+                    expected[k] = j + 1
+        got_rng = experiment._streams(cfg.seed)["truth"]
+        got = generate_truth(inv, cfg.true_track, got_rng)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert got_rng.random() == rng.random()
+
 
 class TestObserver:
     def test_perfect_observer_one_hot_and_max_weight(self):
@@ -114,15 +142,12 @@ class TestObserver:
         truth = rng.integers(0, 4, 500)
         hard = hard_exceedance(truth)
         g_const = (0.75, 0.5, 0.25)  # reverse-cumsum of uniform class mass
-        samples = [
-            EvaluationSample(o=tuple(hard[k]), g=g_const) for k in range(len(truth))
-        ]
+        _, f1 = calibrate_weights(hard, np.tile(g_const, (len(truth), 1)), DEFAULT_W_MAX)
         for j in range(3):
-            f1 = soft_f1(*soft_confusion(samples, j))
             p = hard[:, j].mean()
             g = g_const[j]
             expected = 2 * g * p / (2 * g * p + g * (1 - p) + (1 - g) * p)
-            assert f1 == pytest.approx(expected, abs=1e-12)
+            assert f1[j] == pytest.approx(expected, abs=1e-12)
 
     def test_soft_rows_are_distributions(self):
         observer = ObserverModel()

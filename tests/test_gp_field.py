@@ -842,41 +842,22 @@ class TestPosteriorToProbability:
 
 class TestOrdinalityHelpers:
     def test_violation_count(self):
-        pts = FieldPoints(
-            i=[0, 0, 1, 1],
-            j=[0, 1, 0, 1],
-            x=[0, 0, 1, 1],
-            y=[0, 0, 0, 0],
-            archetype=[1, 1, 1, 1],
-            z=[0, 0, 0, 0],
-            noise_var=[1, 1, 1, 1],
-        )
-        assert ordinality_violation_count(pts, [0.9, 0.5, 0.2, 0.4]) == 1
-        assert ordinality_violation_count(pts, [0.9, 0.5, 0.4, 0.2]) == 0
+        assert ordinality_violation_count([[0.9, 0.5], [0.2, 0.4]]) == 1
+        assert ordinality_violation_count([[0.9, 0.5], [0.4, 0.2]]) == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_violation_count_matches_per_building_loop(self, seed):
-        def loop_count(points, mean_p):
-            count = 0
-            for i in np.unique(points.i):
-                mask = points.i == i
-                m = np.asarray(mean_p)[mask][np.argsort(points.j[mask])]
-                count += bool(np.any(np.diff(m) > 1e-12))
-            return count
+        def loop_count(m):
+            return sum(any(b - a > 1e-12 for a, b in zip(row, row[1:])) for row in m)
 
         rng = np.random.default_rng(seed)
-        grid = grid_points(rng, 50, d=4)
-        # buildings with a state missing, and points in no particular order
-        keep = rng.random(len(grid)) < 0.7
-        for pts in (grid, grid.subset(rng.permutation(len(grid))), grid.subset(keep)):
-            for mean_p in (
-                rng.random(len(pts)),
-                np.round(rng.random(len(pts)), 1),  # ties are not rises
-                np.sort(rng.random(len(pts)))[::-1],
-            ):
-                assert ordinality_violation_count(pts, mean_p) == loop_count(
-                    pts, mean_p
-                )
+        for m in (
+            rng.random((50, 4)),
+            np.round(rng.random((50, 4)), 1),  # ties are not rises
+            np.sort(rng.random((50, 4)), axis=1)[:, ::-1],  # every row descends
+            np.sort(rng.random((50, 3)), axis=1),  # every row rises
+        ):
+            assert ordinality_violation_count(m) == loop_count(m.tolist())
 
 
 class TestCluster:
