@@ -24,6 +24,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedScoreError
+from .field_state import STATES
 
 __all__ = [
     "exceedance_from_categorical",
@@ -93,7 +94,9 @@ def calibrate_weights(o, g, w_max: float) -> tuple[np.ndarray, np.ndarray]:
     predicted exceedances, one (n_samples, n_states) row per sample.  Each
     state's soft confusion counts TP = sum g*o, FP = sum g*(1-o) and
     FN = sum (1-g)*o add in sample order; F1 is their soft F1 and each
-    weight is ``weight_from_f1(F1, w_max)``, both one entry per state.
+    weight is ``weight_from_f1(F1, w_max)``, both one entry per state.  A
+    state (a column, in ``STATES`` order) with no true exceedance and no
+    predicted mass has no F1, and the error names it.
     """
     o = np.asarray(o, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -110,6 +113,12 @@ def calibrate_weights(o, g, w_max: float) -> tuple[np.ndarray, np.ndarray]:
     # running sums in sample order: np.sum may add pairwise, which moves the
     # last bits
     counts = np.cumsum([g * o, g * (1.0 - o), (1.0 - g) * o], axis=1)[:, -1]
+    undefined = [STATES[j] for j in np.flatnonzero(~counts.any(axis=0))]
+    if undefined:
+        raise UndefinedScoreError(
+            f"soft F1 undefined for state{'s' * (len(undefined) > 1)} {', '.join(undefined)}: "
+            "the calibration set has no true exceedance and no predicted mass there"
+        )
     f1 = np.array([soft_f1(*state) for state in counts.T.tolist()])
     weights = np.array([weight_from_f1(f, w_max=w_max) for f in f1.tolist()])
     return weights, f1

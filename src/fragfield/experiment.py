@@ -33,7 +33,7 @@ import numpy as np
 
 from .beta_bridge import update_cells
 from .cluster import balanced_kmeans
-from .errors import InvalidInputError, check_number
+from .errors import InvalidInputError, UndefinedScoreError, check_number
 from .evidence import (
     DEFAULT_W_MAX,
     calibrate_weights,
@@ -315,7 +315,10 @@ def calibrate_observer(inventory, true_classes, observer: ObserverModel, rng):
     soft_cal = simulate_observer(true_classes[idx], observer, rng)
     hard = hard_exceedance(true_classes[idx])
     g = exceedance_from_categorical(soft_cal[:, 1:])
-    return calibrate_weights(hard, g, observer.w_max)
+    try:
+        return calibrate_weights(hard, g, observer.w_max)
+    except UndefinedScoreError as exc:
+        raise UndefinedScoreError(f"observer calibration: {exc}") from None
 
 
 def make_batches(observed_ids, strategy: str, n_batches: int, seed, coords=None):

@@ -25,7 +25,10 @@ dC/du = exp(-v^2/(1+sin u))/(2pi) is the integrand itself.
 
 The quadrature runs over a field's cells in blocks of _QUAD_BLOCK, so a
 field-wide pass (the moments of every cell, each Newton step of the inverse)
-holds fixed-size temporaries however large the field.
+holds fixed-size temporaries however large the field.  One cell
+(``pn_moments``, ``pn_from_moments``) runs the same steps on floats, with
+the quadrature on 0-d inputs, and gets the bits that the array body
+(``pn_moments_vec``, ``pn_from_moments_vec``) gives that cell in any array.
 
 Phi and Phi^-1 are Cephes' ndtr (with its erf and erfc) and ndtri (Moshier
 1989, "Methods and Programs for Mathematical Functions"), written out as
@@ -313,9 +316,13 @@ def _phi2_correction_gl(h, rho):
 
 
 def pn_moments(p: PnMarginal) -> PnMoments:
-    """Closed-form mean/variance of the exceedance probability."""
-    m, zeta = pn_moments_vec(p.mu, p.sigma2)
-    return PnMoments(float(m), float(zeta))
+    """Closed-form mean/variance of the exceedance probability: the
+    expressions of ``pn_moments_vec`` on one cell's floats, with its bits."""
+    v = float(p.mu / np.sqrt(1.0 + p.sigma2))
+    eta = p.sigma2 / (1.0 + p.sigma2)
+    m = _ndtr_one(v)
+    zeta = _phi2_correction_u(np.float64(v * v), np.arcsin(eta))
+    return PnMoments(m, min(max(zeta, 0.0), m * (1.0 - m)))
 
 
 def pn_moments_vec(mu, sigma2):
@@ -329,6 +336,11 @@ def pn_moments_vec(mu, sigma2):
     # guard quadrature round-off at the feasibility edges
     zeta = np.clip(zeta, 0.0, m * (1.0 - m))
     return m, zeta
+
+
+_NEWTON_MAX_ITER = 60
+_NEWTON_RTOL = 1e-12  # a step below this share of u ends a cell's iteration
+_ETA_CAP = SIGMA2_CAP / (1.0 + SIGMA2_CAP)
 
 
 def pn_from_moments(mo: PnMoments) -> PnMarginal:
@@ -349,12 +361,33 @@ def pn_from_moments(mo: PnMoments) -> PnMarginal:
         raise InfeasibleMomentsError(
             f"zeta={zeta!r} >= m(1-m)={m * (1.0 - m)!r}: infeasible for a PN law"
         )
-    mu, sigma2 = pn_from_moments_vec(m, zeta)
-    return PnMarginal(mu, sigma2)
-
-
-_NEWTON_MAX_ITER = 60
-_NEWTON_RTOL = 1e-12  # a step below this share of u ends a cell's iteration
+    # pn_from_moments_vec's steps on floats.  Transcendentals stay NumPy's, and
+    # c and dlogc, which can underflow to 0, stay float64 divisors under errstate
+    v = _ndtri_one(m)
+    if zeta == 0.0:
+        return PnMarginal(v, 0.0)
+    h2 = np.float64(v * v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_zeta = np.log(zeta)
+        lo, hi = 0.0, min(2.0 * np.pi * zeta * np.exp(h2), 0.5 * np.pi)
+        u = hi
+        for _ in range(_NEWTON_MAX_ITER):
+            c = _phi2_correction_u(h2, np.float64(u))
+            g = np.log(c) - log_zeta
+            if g < 0.0:
+                lo = u
+            elif g > 0.0:
+                hi = u
+            dlogc = np.exp(-h2 / (1.0 + np.sin(u))) / (2.0 * np.pi * c)
+            new = float(u - g / dlogc)
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+            u, step = new, abs(new - u)
+            if not step > _NEWTON_RTOL * new:
+                break
+    eta = min(np.sin(u), _ETA_CAP)
+    sigma2 = eta / (1.0 - eta)
+    return PnMarginal(v * np.sqrt(1.0 + sigma2), sigma2)
 
 
 def pn_from_moments_vec(m, zeta):
@@ -365,9 +398,8 @@ def pn_from_moments_vec(m, zeta):
     above the root and starts the bracket [0, u0].  A Newton step that
     leaves the bracket is replaced by bisection, and a cell whose step falls
     below _NEWTON_RTOL * u stops, so its result does not depend on the other
-    cells of the call.  zeta = 0 gives sigma2 = 0 without iterating.  A 0-d
-    input is one cell: ``pn_from_moments`` passes its two floats so, and
-    gets the bits of the same cell in any array.
+    cells of the call.  zeta = 0 gives sigma2 = 0 without iterating.
+    ``pn_from_moments`` runs these steps on one cell's floats.
     """
     m = np.asarray(m, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
@@ -395,8 +427,7 @@ def pn_from_moments_vec(m, zeta):
             new = np.where(active, new, u)
             active &= np.abs(new - u) > _NEWTON_RTOL * new
             u = new
-    eta_cap = SIGMA2_CAP / (1.0 + SIGMA2_CAP)
-    eta = np.where(zeta == 0.0, 0.0, np.minimum(np.sin(u), eta_cap))
+    eta = np.where(zeta == 0.0, 0.0, np.minimum(np.sin(u), _ETA_CAP))
     sigma2 = eta / (1.0 - eta)
     mu = v * np.sqrt(1.0 + sigma2)
     return mu, sigma2

@@ -1342,6 +1342,26 @@ class TestCmdExperiment:
         assert main(argv) == 2
         assert not out.exists()
 
+    def test_calibration_without_f1_names_states_and_source(self, tmp_path, capsys):
+        # a zero-width track damages nothing and a faithful observer predicts
+        # no mass, so no state has a soft F1
+        cfg = tmp_path / "exp.json"
+        doc = {
+            "schema_version": 1,
+            "n_buildings": 20,
+            "modes": ["local-only"],
+            "true_track": {"centerline": [[-500.0, 0.0], [10500.0, 0.0]], "width_total": 0.0},
+            "observer": {"class_error": 0.0, "concentration": None},
+        }
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: observer calibration: soft F1 undefined for states moderate, extensive, "
+            "complete: the calibration set has no true exceedance and no predicted mass there\n"
+        )
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["prior", "update", "experiment"])
 def test_negative_seed_exit_2(tmp_path, capsys, command):

@@ -140,6 +140,10 @@ class TestSoftConfusion:
         with pytest.raises(InvalidInputError, match="empty calibration set"):
             calibrate_weights(np.zeros((0, 3)), np.zeros((0, 3)), DEFAULT_W_MAX)
 
+    def test_state_without_f1_is_named(self):
+        with pytest.raises(UndefinedScoreError, match="^soft F1 undefined for state complete: "):
+            calibrate_weights([[1, 1, 0]], [[0.5, 0.5, 0.0]], DEFAULT_W_MAX)
+
     def test_sample_validation(self):
         for o, g, message in (
             ([[0, 1, 0]], [[0.5, 0.5, 0.5]], "non-increasing"),

@@ -455,6 +455,14 @@ def _elementwise(f, *arrays):
     return [f(*(a[k] for a in flat)) for k in range(flat[0].size)]
 
 
+def _tail_m(rng, shape):
+    """Means in three equal shares: log-uniform down to 1e-300, 1 - m
+    log-uniform down to 1e-16, and uniform on [0.01, 0.99]."""
+    low = 10.0 ** rng.uniform(-300.0, math.log10(0.5), shape)
+    high = 1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5), shape)
+    return np.choose(rng.integers(0, 3, shape), [low, high, rng.uniform(0.01, 0.99, shape)])
+
+
 def _shapes(n):
     """(first, second) argument shapes: plain, broadcast against 0-d and
     against a row of states, and (n, 1) against (n, 3)."""
@@ -473,11 +481,18 @@ class TestBlockedPasses:
             ref = _elementwise(_phi2_correction_u, h2, ub)
             assert np.array_equal(got.ravel(), ref), (shape_a, shape_b)
 
+    @pytest.mark.filterwarnings("error")
     def test_moments_equal_scalar_calls(self, n):
         rng = np.random.default_rng(n + 1)
         for shape_a, shape_b in _shapes(n):
-            mu = rng.uniform(-6.0, 6.0, shape_a)
-            s2 = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), shape_b))
+            # half the draws in the tails: mu to +-40, sigma2 from 1e-8 to the cap
+            tail_a, tail_b = rng.random(shape_a) < 0.5, rng.random(shape_b) < 0.5
+            mu = np.where(tail_a, rng.uniform(-40.0, 40.0, shape_a), rng.uniform(-6.0, 6.0, shape_a))
+            s2 = np.exp(np.where(
+                tail_b,
+                rng.uniform(math.log(1e-8), math.log(SIGMA2_CAP), shape_b),
+                rng.uniform(math.log(1e-4), math.log(1e4), shape_b),
+            ))
             m, zeta = pn_moments_vec(mu, s2)
             assert m.shape == zeta.shape == np.broadcast_shapes(shape_a, shape_b)
             ref = _elementwise(lambda a, b: pn_moments(PnMarginal(a, b)), mu, s2)
@@ -485,12 +500,24 @@ class TestBlockedPasses:
             assert np.array_equal(m.ravel(), [mo.m for mo in ref]), where
             assert np.array_equal(zeta.ravel(), [mo.zeta for mo in ref]), where
 
+    @pytest.mark.filterwarnings("error")
     def test_inverse_equals_scalar_calls(self, n):
         rng = np.random.default_rng(n + 2)
         for shape_a, shape_b in _shapes(n):
-            # zeta below the smallest m(1-m) of the draws keeps every pair feasible
-            m = rng.uniform(0.01, 0.99, shape_a)
-            zeta = rng.uniform(0.0, 0.0099, shape_b)
+            if np.broadcast_shapes(shape_a, shape_b) == shape_b:
+                # each zeta meets one m: tail means, and zeta a share of
+                # m(1-m) that is log-uniform down to 1e-300 for half the draws
+                m = _tail_m(rng, shape_a)
+                share = np.where(
+                    rng.random(shape_b) < 0.5,
+                    10.0 ** rng.uniform(-300.0, math.log10(0.99), shape_b),
+                    rng.uniform(0.0, 0.99, shape_b),
+                )
+                zeta = share * (m * (1.0 - m))
+            else:
+                # zeta below the smallest m(1-m) of the draws keeps every pair feasible
+                m = rng.uniform(0.01, 0.99, shape_a)
+                zeta = rng.uniform(0.0, 0.0099, shape_b)
             edges = m.shape == zeta.shape == (n,)
             if edges:
                 # zeta = 0 returns sigma2 = 0 without iterating, and the
