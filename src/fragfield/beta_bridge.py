@@ -132,10 +132,11 @@ def local_update_cycle(
     """Full PN -> Beta -> conjugate update -> PN pipeline for one cell.
 
     The prior variance is floored at ZETA_FLOOR so a degenerate prior still
-    has a Beta surrogate.
+    has a Beta surrogate.  A batch with no weight (empty, or every weight 0)
+    carries no evidence, and the prior comes back unchanged, unchecked.
     """
     batch = list(batch)
-    if not batch:
+    if not any(obs.weight for obs in batch):
         return prior
     mo = pn_moments(prior)
     zeta = max(mo.zeta, ZETA_FLOOR)

@@ -451,9 +451,18 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
                     i = np.repeat(batch, len(weights))
                     j = np.tile(np.arange(len(weights)), len(batch))
                     update_cells(fs.mu, fs.sigma2, i, j, y_obs[i, j], weights[j])
+                if "local-only" in config.modes:
+                    # a cell's moments depend on that cell alone, so after
+                    # step 0 only the rows this step updated are recomputed
+                    if step:
+                        local_m[batch], local_var[batch] = pn_moments_vec(
+                            fs.mu[batch], fs.sigma2[batch]
+                        )
+                    else:
+                        local_m, local_var = pn_moments_vec(fs.mu, fs.sigma2)
                 for mode in config.modes:
                     if mode == "local-only":
-                        m, var_p = pn_moments_vec(fs.mu, fs.sigma2)
+                        m, var_p = local_m, local_var
                     else:
                         # the GP is fit at every step, the prior field included,
                         # so every gp row is scored through the same lens

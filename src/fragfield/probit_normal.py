@@ -27,8 +27,10 @@ The quadrature runs over a field's cells in blocks of _QUAD_BLOCK, so a
 field-wide pass (the moments of every cell, each Newton step of the inverse)
 holds fixed-size temporaries however large the field.  One cell
 (``pn_moments``, ``pn_from_moments``) runs the same steps on floats, with
-the quadrature on 0-d inputs, and gets the bits that the array body
-(``pn_moments_vec``, ``pn_from_moments_vec``) gives that cell in any array.
+the quadrature as one pass over a 65-slot buffer (its 64 nodes and the
+upper limit, where the Newton step reads the integrand), and gets the bits
+that the array body (``pn_moments_vec``, ``pn_from_moments_vec``) gives
+that cell in any array.
 
 Phi and Phi^-1 are Cephes' ndtr (with its erf and erfc) and ndtri (Moshier
 1989, "Methods and Programs for Mathematical Functions"), written out as
@@ -315,13 +317,32 @@ def _phi2_correction_gl(h, rho):
     return _phi2_correction_u(h * h, np.arcsin(np.asarray(rho, dtype=float)))
 
 
+def _phi2_correction_one(h2: float, u: float, buf):
+    """C = _phi2_correction_u(h2, u) of one cell, and the integrand
+    exp(-h2/(1+sin u)) at u, from one ufunc pass over ``buf``, a float array
+    of 65 slots that the caller may reuse: slots 0-63 take the u-nodes and
+    slot 64 takes u.  Both come back as float64 scalars, with the bits of
+    the array body."""
+    half = 0.5 * u
+    nodes = buf[:64]
+    np.multiply(half, _GL_NODES_P1, out=nodes)
+    buf[64] = u
+    np.sin(buf, out=buf)
+    np.add(1.0, buf, out=buf)
+    np.divide(-h2, buf, out=buf)
+    np.exp(buf, out=buf)
+    at_u = buf[64]
+    nodes *= _GL_WEIGHTS
+    return (half / (2.0 * np.pi)) * nodes.sum(), at_u
+
+
 def pn_moments(p: PnMarginal) -> PnMoments:
     """Closed-form mean/variance of the exceedance probability: the
     expressions of ``pn_moments_vec`` on one cell's floats, with its bits."""
     v = float(p.mu / np.sqrt(1.0 + p.sigma2))
     eta = p.sigma2 / (1.0 + p.sigma2)
     m = _ndtr_one(v)
-    zeta = _phi2_correction_u(np.float64(v * v), np.arcsin(eta))
+    zeta, _ = _phi2_correction_one(v * v, np.arcsin(eta), np.empty(65))
     return PnMoments(m, min(max(zeta, 0.0), m * (1.0 - m)))
 
 
@@ -351,6 +372,9 @@ def pn_from_moments(mo: PnMoments) -> PnMarginal:
     at u = 0 to m(1-m) at u = pi/2, and u solves C(v, u) = zeta by
     safeguarded Newton steps on log C - log zeta.  Then eta = sin(u),
     sigma2 = eta/(1-eta) (capped at SIGMA2_CAP) and mu = v*sqrt(1+sigma2).
+    These are ``pn_from_moments_vec``'s steps on one cell's floats, with its
+    bits; each step takes C and dC/du, the integrand at u, from one
+    quadrature pass.
     """
     m, zeta = float(mo.m), float(mo.zeta)
     if not (0.0 < m < 1.0):
@@ -361,24 +385,25 @@ def pn_from_moments(mo: PnMoments) -> PnMarginal:
         raise InfeasibleMomentsError(
             f"zeta={zeta!r} >= m(1-m)={m * (1.0 - m)!r}: infeasible for a PN law"
         )
-    # pn_from_moments_vec's steps on floats.  Transcendentals stay NumPy's, and
-    # c and dlogc, which can underflow to 0, stay float64 divisors under errstate
+    # transcendentals stay NumPy's, and c and dlogc, which can underflow to 0,
+    # stay float64 divisors under errstate
     v = _ndtri_one(m)
     if zeta == 0.0:
         return PnMarginal(v, 0.0)
-    h2 = np.float64(v * v)
+    h2 = v * v
+    buf = np.empty(65)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_zeta = np.log(zeta)
         lo, hi = 0.0, min(2.0 * np.pi * zeta * np.exp(h2), 0.5 * np.pi)
         u = hi
         for _ in range(_NEWTON_MAX_ITER):
-            c = _phi2_correction_u(h2, np.float64(u))
+            c, at_u = _phi2_correction_one(h2, u, buf)
             g = np.log(c) - log_zeta
             if g < 0.0:
                 lo = u
             elif g > 0.0:
                 hi = u
-            dlogc = np.exp(-h2 / (1.0 + np.sin(u))) / (2.0 * np.pi * c)
+            dlogc = at_u / (2.0 * np.pi * c)
             new = float(u - g / dlogc)
             if not lo < new < hi:
                 new = 0.5 * (lo + hi)

@@ -166,6 +166,13 @@ class TestLocalUpdateCycle:
         prior = PnMarginal(0.3, 0.8)
         assert local_update_cycle(prior, []) is prior
 
+    @pytest.mark.parametrize("prior", [PnMarginal(-3.0, 0.0), PnMarginal(0.3, 1.2)])
+    def test_zero_weight_batch_is_identity(self, prior):
+        # a round trip through the surrogate would move both: the degenerate
+        # prior through ZETA_FLOOR, the other by round-off
+        assert local_update_cycle(prior, [obs(1.0, 0.0)]) is prior
+        assert local_update_cycle(prior, [obs(0.2, 0.0), obs(0.9, 0.0)]) is prior
+
     def test_sequential_equals_combined(self):
         prior = PnMarginal(-0.4, 1.3)
         one = local_update_cycle(prior, [obs(0.8, 1.5), obs(0.2, 0.5)])
@@ -217,6 +224,23 @@ class TestUpdateCells:
         update_cells(mu, sigma2, i, j, y, w)
         assert np.array_equal(mu, expected_mu)
         assert np.array_equal(sigma2, expected_sigma2)
+
+    def test_zero_weight_cells_are_untouched(self):
+        # cell (0, 0) sees only zero weights and keeps its bits, a degenerate
+        # prior included; a zero weight beside a weighted one changes nothing
+        mu = np.array([[-3.0, 0.3], [0.3, -1.0]])
+        sigma2 = np.array([[0.0, 1.2], [1.2, 0.5]])
+        i, j = [0, 0, 1, 0, 1, 1], [0, 1, 0, 0, 0, 1]
+        y, w = [1.0, 0.2, 0.2, 0.4, 0.7, 0.6], [0.0, 0.0, 0.0, 0.0, 2.5, 3.0]
+        expected_mu, expected_sigma2 = mu.copy(), sigma2.copy()
+        for cell, batch in [((1, 0), [obs(0.2, 0.0), obs(0.7, 2.5)]), ((1, 1), [obs(0.6, 3.0)])]:
+            post = local_update_cycle(PnMarginal(mu[cell], sigma2[cell]), batch)
+            expected_mu[cell], expected_sigma2[cell] = post.mu, post.sigma2
+        update_cells(mu, sigma2, i, j, y, w)
+        assert np.array_equal(mu, expected_mu)
+        assert np.array_equal(sigma2, expected_sigma2)
+        assert (mu[0, 0], sigma2[0, 0], mu[0, 1], sigma2[0, 1]) == (-3.0, 0.0, 0.3, 1.2)
+        assert (mu[1, 0], sigma2[1, 0]) != (0.3, 1.2)
 
 
 def _kl_on_unit_interval(p, b, direction):

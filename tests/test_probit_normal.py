@@ -535,6 +535,28 @@ class TestBlockedPasses:
             assert np.array_equal(s2.ravel(), [p.sigma2 for p in ref]), where
 
 
+@pytest.mark.parametrize(
+    "n", [_B // 3, _B // 3 + 1, _B + 1, _PHI_BLOCK // 3 + 1, _PHI_BLOCK + 1]
+)
+def test_moments_of_a_row_subset_equal_the_whole_field(n):
+    # the experiment runner recomputes only the rows a step updated, so a
+    # row's moments must not depend on the rows passed with it
+    rng = np.random.default_rng(n + 3)
+    tail = rng.random((n, 3)) < 0.5
+    mu = np.where(tail, rng.uniform(-40.0, 40.0, (n, 3)), rng.uniform(-6.0, 6.0, (n, 3)))
+    s2 = np.exp(np.where(
+        rng.random((n, 3)) < 0.5,
+        rng.uniform(math.log(1e-8), math.log(SIGMA2_CAP), (n, 3)),
+        rng.uniform(math.log(1e-4), math.log(1e4), (n, 3)),
+    ))
+    m, zeta = pn_moments_vec(mu, s2)
+    for size in (1, int(rng.integers(2, n)), n):
+        rows = rng.choice(n, size, replace=False)
+        sub_m, sub_zeta = pn_moments_vec(mu[rows], s2[rows])
+        assert np.array_equal(sub_m, m[rows]), size
+        assert np.array_equal(sub_zeta, zeta[rows]), size
+
+
 def test_moments_of_a_large_field_hold_bounded_memory():
     # 60,000 cells: a whole-field quadrature held several (cells x 64)
     # float temporaries at once, 96 MB traced
