@@ -4,7 +4,7 @@ Each subcommand takes a JSON config (``--config``), an output directory
 (``--out``), an optional seed override (``--seed``), and ``--dry-run`` to
 validate inputs without writing anything.  Relative paths inside a config
 resolve against the config file's directory.  Exit codes: 0 success, 2
-input/config error, 3 numerical failure.
+input/config error (an allocation failure too), 3 numerical failure.
 
 Randomness uses NumPy's seeded PCG64 generator throughout, so identical
 configs and seeds reproduce bit-identical outputs on the same BLAS build
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .beta_bridge import update_cells
 from .errors import ConfigError, InvalidInputError, NumericalFailureError, check_number
-from .experiment import ObserverModel, ScenarioConfig, run_online_experiment
+from .experiment import ObserverModel, ScenarioConfig, prepare, run_online_experiment
 from .field_state import STATES
 from .gp_field import (
     FieldPoints,
@@ -265,6 +265,7 @@ def cmd_experiment(config_path, out_dir, seed, dry_run) -> int:
     if seed is not None:
         config = replace(config, seed=seed)
     if dry_run:
+        prepare(config)  # the run's set-up, so a dry run rejects what it rejects
         return 0
     result = run_online_experiment(config)
     os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
@@ -323,6 +324,9 @@ def main(argv=None) -> int:
         return 3
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

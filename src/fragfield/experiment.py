@@ -1,24 +1,27 @@
 """Online-learning experiment: synthetic scenario, observer, batched updates.
 
-A synthetic building inventory is struck by a "true" tornado track; ground
-truth damage comes from sampled lognormal capacities against the true wind.
-A simulated observer emits soft categorical damage predictions of tunable
-fidelity.  Priors are built for several assumed track widths (including a
-no-information width of 0), the inventory is split 80/20, and the observed
-portion is released in batches, either randomly or as spatial groups.
+A run has two parts.  First ``prepare`` draws the scenario into one frozen
+``Scenario`` record.  A synthetic building inventory is struck by a "true"
+tornado track; ground truth damage comes from sampled lognormal capacities
+against the true wind.  A simulated observer emits soft categorical damage
+predictions of tunable fidelity, rated on fresh calibration draws.  Priors
+are built for several assumed track widths (including a no-information
+width of 0), the inventory is split 80/20, and the observed portion is cut
+into batches, either randomly or as spatial groups.
 
-For each (strategy, prior width) one copy of the prior steps through the
-batches, and each batch step performs local conjugate updates of that PN
-field.  Every mode scores the one field at every step: local-only through
-the cells' own moments; gp-enabled through a heteroscedastic GP over all
-(building, state) cells, fit at step 0 on the prior field, refit cold once
-real data arrives at step 1 and warm-started thereafter, whose posterior
-(not the local cells) is what gets scored, so every step of a gp run is
-measured through the same lens.  The conjugate state never receives GP
-feedback, so evidence is counted exactly once and the modes differ only in
-how they read it.  A final extra step assimilates the holdout.  Metrics
-are log-loss against the observer's soft exceedances (primary) and against
-hard truth (diagnostic), plus posterior-variance summaries per subset.
+Then the trajectory loop runs over that record.  For each (strategy, prior
+width) one copy of the prior steps through the batches, and each batch step
+performs local conjugate updates of that PN field.  Every mode scores the
+one field at every step: local-only through the cells' own moments;
+gp-enabled through a heteroscedastic GP over all (building, state) cells,
+fit at step 0 on the prior field, refit cold once real data arrives at step
+1 and warm-started thereafter, whose posterior (not the local cells) is
+what gets scored, so every step of a gp run is measured through the same
+lens.  The conjugate state never receives GP feedback, so evidence is
+counted exactly once and the modes differ only in how they read it.  A
+final extra step assimilates the holdout.  Metrics are log-loss against the
+observer's soft exceedances (primary) and against hard truth (diagnostic),
+plus posterior-variance summaries per subset.
 
 All randomness flows from named child streams of one seed, shared across
 prior widths and modes so that runs differ only where they should.
@@ -39,7 +42,7 @@ from .evidence import (
     calibrate_weights,
     exceedance_from_categorical,
 )
-from .field_state import STATES
+from .field_state import STATES, Inventory
 from .gp_field import (
     FieldPoints,
     check_exact_size,
@@ -48,7 +51,9 @@ from .gp_field import (
     fit_hyperparameters,
     ordinality_violation_count,
 )
-from .hazard import Building, FragilityTable, TornadoTrack, build_prior_field, wind_speeds, distances_to_centerline
+from .hazard import (
+    FragilityTable, TornadoTrack, build_prior_field, distances_to_centerline, wind_speeds
+)
 from .probit_normal import pn_moments_vec
 
 __all__ = [
@@ -56,12 +61,14 @@ __all__ = [
     "ScenarioConfig",
     "MetricsRecord",
     "TrajectoryRecord",
+    "Scenario",
     "ExperimentResult",
     "generate_inventory",
     "generate_truth",
     "simulate_observer",
     "make_batches",
     "log_loss",
+    "prepare",
     "run_online_experiment",
     "default_config",
 ]
@@ -167,15 +174,8 @@ class ScenarioConfig:
                 raise InvalidInputError(
                     f"{name} must be a non-empty list with no repeats, got {list(axis)!r}"
                 )
-        if self.n_batches > self.n_buildings - self.n_holdout:
-            raise InvalidInputError("more batches than observed buildings")
         if "gp-enabled" in self.modes:
             check_exact_size(self.n_buildings, len(STATES))
-
-    @property
-    def n_holdout(self) -> int:
-        """Buildings held out of the batches and assimilated last (at least 1)."""
-        return max(1, int(round(self.holdout_fraction * self.n_buildings)))
 
 
 @dataclass(frozen=True)
@@ -206,17 +206,31 @@ class TrajectoryRecord:
     log_marginal_likelihood: float
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """Everything ``prepare`` draws or derives before step 1."""
+
+    y_obs: np.ndarray  # (n, 3) observer exceedances
+    y_true: np.ndarray  # (n, 3) hard-truth exceedances
+    weights: np.ndarray  # the observer's calibration, per state
+    f1: np.ndarray
+    observed_mask: np.ndarray
+    holdout_rows: np.ndarray  # assimilated last (at least 1)
+    batches: dict  # strategy -> batches of observed rows
+    gp_seed: int
+    priors: dict  # prior width -> field, which the loop copies
+
+
 @dataclass
 class ExperimentResult:
     config: ScenarioConfig
+    scenario: Scenario
     metrics: list
     trajectory: list
     # (prior width, strategy) -> the last field of that trajectory, which
     # every mode scores
     final_fields: dict = field(default_factory=dict)
     ordinality_violations: list = field(default_factory=list)
-    calibration_weights: np.ndarray | None = None
-    calibration_f1: np.ndarray | None = None
 
 
 def _streams(seed: int) -> dict:
@@ -233,19 +247,14 @@ def _streams(seed: int) -> dict:
     return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
 
 
-def generate_inventory(config: ScenarioConfig, rng) -> list:
+def generate_inventory(config: ScenarioConfig, rng) -> Inventory:
     (x0, x1), (y0, y1) = config.region
     n = config.n_buildings
-    xs = rng.uniform(x0, x1, n)
-    ys = rng.uniform(y0, y1, n)
-    archs = rng.integers(1, 20, n)
-    return [
-        Building(id=f"b{k:04d}", x=float(xs[k]), y=float(ys[k]), archetype=int(archs[k]))
-        for k in range(n)
-    ]
+    x, y = rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)
+    return Inventory([f"b{k:04d}" for k in range(n)], x, y, rng.integers(1, 20, n))
 
 
-def generate_truth(inventory, track: TornadoTrack, rng) -> np.ndarray:
+def generate_truth(inventory: Inventory, track: TornadoTrack, rng) -> np.ndarray:
     """True damage class per building: 0 none .. 3 complete.
 
     Capacities are drawn per state from the default fragility table's
@@ -253,11 +262,9 @@ def generate_truth(inventory, track: TornadoTrack, rng) -> np.ndarray:
     sampled capacity the true wind meets or exceeds.
     """
     table = FragilityTable.default()
-    x = np.array([b.x for b in inventory])
-    y = np.array([b.y for b in inventory])
-    v = wind_speeds(distances_to_centerline(x, y, track), track)
-    arch = [b.archetype for b in inventory]
-    n, d = len(inventory), len(STATES)
+    v = wind_speeds(distances_to_centerline(inventory.x, inventory.y, track), track)
+    arch = inventory.archetype.tolist()
+    n, d = len(arch), len(STATES)
     # one draw in building-major order is the stream of one draw per cell;
     # math.log and math.exp, because numpy's SIMD ones can differ in the last bit
     z = rng.standard_normal((n, d)).ravel().tolist()
@@ -303,13 +310,13 @@ def hard_exceedance(true_classes: np.ndarray) -> np.ndarray:
     return (true_classes[:, None] >= states[None, :]).astype(float)
 
 
-def calibrate_observer(inventory, true_classes, observer: ObserverModel, rng):
+def calibrate_observer(true_classes, observer: ObserverModel, rng):
     """Per-state (w, F1) from fresh observer redraws on a sampled subset.
 
     The calibration draws are independent of the update-stream predictions,
     mimicking a held-out labelling exercise used only to rate the source.
     """
-    n = len(inventory)
+    n = len(true_classes)
     size = min(observer.calibration_size, n)
     idx = rng.choice(n, size=size, replace=False)
     soft_cal = simulate_observer(true_classes[idx], observer, rng)
@@ -362,12 +369,11 @@ def default_config(**overrides) -> ScenarioConfig:
     return replace(ScenarioConfig(), **overrides) if overrides else ScenarioConfig()
 
 
-def _metrics_for(
-    step, mode, strategy, width, m, var_p, y_obs, y_true, observed_mask
-):
+def _metrics_for(step, mode, strategy, width, m, var_p, scenario: Scenario):
     """MetricsRecords for one (step, mode) over subsets and states."""
     out = []
-    for subset, mask in (("observed", observed_mask), ("unobserved", ~observed_mask)):
+    y_obs, y_true, observed = scenario.y_obs, scenario.y_true, scenario.observed_mask
+    for subset, mask in (("observed", observed), ("unobserved", ~observed)):
         for j, state in enumerate(STATES):
             out.append(
                 MetricsRecord(
@@ -385,44 +391,49 @@ def _metrics_for(
     return out
 
 
-def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
-    """Full sweep over prior widths x strategies x modes; see module docstring."""
+def prepare(config: ScenarioConfig) -> Scenario:
+    """A run's scenario, drawn from the seed's named child streams.
+
+    ``experiment --dry-run`` runs this and stops, so it rejects what the
+    run's set-up rejects.
+    """
     streams = _streams(config.seed)
     inventory = generate_inventory(config, streams["inventory"])
     truth = generate_truth(inventory, config.true_track, streams["truth"])
     soft = simulate_observer(truth, config.observer, streams["observer"])
-    y_obs = soft_exceedance(soft)
-    y_true = hard_exceedance(truth)
-    weights, cal_f1 = calibrate_observer(
-        inventory, truth, config.observer, streams["calibration"]
-    )
+    weights, f1 = calibrate_observer(truth, config.observer, streams["calibration"])
 
-    n = len(inventory)
-    n_holdout = config.n_holdout
+    n = len(inventory.ids)
+    n_holdout = max(1, int(round(config.holdout_fraction * n)))
     order = streams["split"].permutation(n)
-    holdout_rows = np.sort(order[:n_holdout])
     observed_rows = np.sort(order[n_holdout:])
     observed_mask = np.zeros(n, dtype=bool)
     observed_mask[observed_rows] = True
-
-    coords = np.array([[b.x, b.y] for b in inventory])
+    coords = np.column_stack((inventory.x, inventory.y))[observed_rows]
     batch_seed = streams["batch"].integers(2**63)
-    batches_by_strategy = {
-        strat: make_batches(
-            list(observed_rows),
-            strat,
-            config.n_batches,
-            batch_seed,
-            coords=coords[observed_rows],
-        )
-        for strat in config.strategies
-    }
-    gp_seed = int(streams["gp"].integers(2**31))
+    return Scenario(
+        y_obs=soft_exceedance(soft),
+        y_true=hard_exceedance(truth),
+        weights=weights,
+        f1=f1,
+        observed_mask=observed_mask,
+        holdout_rows=np.sort(order[:n_holdout]),
+        batches={
+            strat: make_batches(observed_rows, strat, config.n_batches, batch_seed, coords=coords)
+            for strat in config.strategies
+        },
+        gp_seed=int(streams["gp"].integers(2**31)),
+        priors={
+            width: build_prior_field(inventory, replace(config.true_track, width_total=width))
+            for width in config.prior_widths
+        },
+    )
 
-    priors = {
-        width: build_prior_field(inventory, replace(config.true_track, width_total=width))
-        for width in config.prior_widths
-    }
+
+def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
+    """Full sweep over prior widths x strategies x modes; see module docstring."""
+    scenario = prepare(config)
+    y_obs, weights, gp_seed = scenario.y_obs, scenario.weights, scenario.gp_seed
     # gp fit budgets: cold fits for the prior field and the first real batch,
     # because the all-prior fit at step 0 lands in a degenerate basin (weak
     # pseudo-observations aggregate into one global latent) that a warm start
@@ -443,10 +454,10 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
         for width in config.prior_widths:
             # one conjugate trajectory per (strategy, width), which every mode
             # scores, so the modes see the same evidence, counted once
-            fs = priors[width].copy()
+            fs = scenario.priors[width].copy()
             width = float(width)
             rows = {mode: [] for mode in config.modes}
-            for step, batch in enumerate([(), *batches_by_strategy[strategy], holdout_rows]):
+            for step, batch in enumerate([(), *scenario.batches[strategy], scenario.holdout_rows]):
                 if step:  # each batch, then the holdout: one observation per state
                     i = np.repeat(batch, len(weights))
                     j = np.tile(np.arange(len(weights)), len(batch))
@@ -489,19 +500,16 @@ def run_online_experiment(config: ScenarioConfig) -> ExperimentResult:
                         )
                         count = ordinality_violation_count(m)
                         violations.append({**key, "count": count})
-                    rows[mode] += _metrics_for(
-                        step, mode, strategy, width, m, var_p, y_obs, y_true, observed_mask
-                    )
+                    rows[mode] += _metrics_for(step, mode, strategy, width, m, var_p, scenario)
             for mode in config.modes:
                 metrics += rows[mode]
             finals[(width, strategy)] = fs
     return ExperimentResult(
         config=config,
+        scenario=scenario,
         metrics=metrics,
         trajectory=trajectory,
         final_fields=finals,
         ordinality_violations=violations,
-        calibration_weights=weights,
-        calibration_f1=cal_f1,
     )
 

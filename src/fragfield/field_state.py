@@ -1,14 +1,24 @@
-"""Container for the latent fragility field over a building inventory."""
+"""The building inventory's columns, and the latent fragility field over it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 STATES = ("moderate", "extensive", "complete")
+
+
+class Inventory(NamedTuple):
+    """One entry per building (``len(inventory)`` is 4; count ``ids``)."""
+
+    ids: list
+    x: np.ndarray
+    y: np.ndarray
+    archetype: np.ndarray
 
 
 @dataclass

@@ -22,11 +22,10 @@ from importlib import resources
 import numpy as np
 
 from .errors import InvalidInputError, check_number
-from .field_state import STATES, FieldState
+from .field_state import STATES, FieldState, Inventory
 from .probit_normal import clip_ordinal_probit, latent_from_physics
 
 __all__ = [
-    "Building",
     "TornadoTrack",
     "FragilityTable",
     "distances_to_centerline",
@@ -41,25 +40,6 @@ __all__ = [
 DEFAULT_EPS_HAZARD = 0.09
 DEFAULT_EPS_CAPACITY = 0.40
 DEFAULT_WIND_FLOOR = 1.0  # m/s floor before taking logs far from the track
-
-
-@dataclass(frozen=True)
-class Building:
-    id: str
-    x: float
-    y: float
-    archetype: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "archetype", int(self.archetype))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInputError(f"building {self.id}: coordinates must be finite")
-        if not 1 <= self.archetype <= 19:
-            raise InvalidInputError(
-                f"building {self.id}: archetype {self.archetype} outside 1..19"
-            )
 
 
 @dataclass(frozen=True)
@@ -207,7 +187,7 @@ def wind_speed(r: float, track: TornadoTrack) -> float:
 
 
 def build_prior_field(
-    inventory,
+    inventory: Inventory,
     track: TornadoTrack,
     table: FragilityTable | None = None,
     eps_hazard: float = DEFAULT_EPS_HAZARD,
@@ -236,22 +216,20 @@ def build_prior_field(
     archetype over the physical wind range.
     """
     table = table or FragilityTable.default()
-    inventory = list(inventory)
-    if not inventory:
+    if not len(inventory.ids):
         raise InvalidInputError("empty inventory")
     if wind_floor <= 0:
         raise InvalidInputError("wind_floor must be > 0 (its log is taken)")
     for name, value in (("eps_hazard", eps_hazard), ("eps_capacity", eps_capacity)):
         if not value >= 0:
             raise InvalidInputError(f"{name} must be >= 0, got {value!r}")
-    missing = sorted({b.archetype for b in inventory} - set(table.medians))
+    arch = inventory.archetype
+    missing = sorted(set(arch.tolist()) - set(table.medians))
     if missing:
         raise InvalidInputError(f"archetype(s) {missing} absent from fragility table")
 
-    x = np.array([b.x for b in inventory])
-    y = np.array([b.y for b in inventory])
-    arch = np.array([b.archetype for b in inventory])
-    v = np.maximum(wind_speeds(distances_to_centerline(x, y, track), track), wind_floor)
+    distances = distances_to_centerline(inventory.x, inventory.y, track)
+    v = np.maximum(wind_speeds(distances, track), wind_floor)
 
     archetypes = table.archetypes
     row = np.searchsorted(archetypes, arch)
@@ -266,12 +244,6 @@ def build_prior_field(
         if not hasattr(exc, "cell"):
             raise
         i, j = exc.cell
-        raise InvalidInputError(f"building {inventory[i].id}, state {STATES[j]}: {exc}") from exc
-    return FieldState(
-        ids=[b.id for b in inventory],
-        x=x,
-        y=y,
-        archetype=arch,
-        mu=clip_ordinal_probit(mu, bound=clip_bound, separation=separation),
-        sigma2=sigma2,
-    )
+        raise InvalidInputError(f"building {inventory.ids[i]}, state {STATES[j]}: {exc}") from exc
+    mu = clip_ordinal_probit(mu, bound=clip_bound, separation=separation)
+    return FieldState(*inventory, mu=mu, sigma2=sigma2)

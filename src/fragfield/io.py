@@ -41,8 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .experiment import MetricsRecord, TrajectoryRecord
-from .field_state import STATES, FieldState
-from .hazard import Building
+from .field_state import STATES, FieldState, Inventory
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -353,25 +352,30 @@ def write_gp_field_csv(path, fs: FieldState, mean_p, var_p) -> None:
     )
 
 
-def read_inventory_csv(path):
-    """Buildings from CSV columns building_id, x, y, archetype; ids are unique."""
-    out = []
-    first_line = {}
-    for line, (bid, x, y, archetype) in _csv_rows(
-        path, ("building_id", "x", "y", "archetype")
-    ):
+def read_inventory_csv(path) -> Inventory:
+    """The inventory in CSV columns building_id, x, y, archetype; ids are unique."""
+    first_line = {}  # building id -> line, in file order
+    x, y, arch = [], [], []
+    for line, (bid, xi, yi, ai) in _csv_rows(path, ("building_id", "x", "y", "archetype")):
         try:
             if bid in first_line:
                 raise ValueError(
                     f"second row for building {bid!r} (first at line {first_line[bid]})"
                 )
-            first_line[bid] = line
-            out.append(Building(id=bid, x=float(x), y=float(y), archetype=int(archetype)))
-        except (ValueError, InvalidInputError) as exc:
+            xi, yi, ai = float(xi), float(yi), int(ai)
+            if not (math.isfinite(xi) and math.isfinite(yi)):
+                raise ValueError(f"building {bid}: coordinates must be finite")
+            if not 1 <= ai <= 19:
+                raise ValueError(f"building {bid}: archetype {ai} outside 1..19")
+        except ValueError as exc:
             raise InvalidInputError(f"{path}:{line}: {exc}") from exc
-    if not out:
+        first_line[bid] = line
+        x.append(xi)
+        y.append(yi)
+        arch.append(ai)
+    if not first_line:
         raise InvalidInputError(f"{path}: no inventory rows")
-    return out
+    return Inventory(list(first_line), np.array(x), np.array(y), np.array(arch))
 
 
 def read_observations_csv(path):
@@ -435,6 +439,8 @@ def load_config(path) -> dict:
             doc = json.load(fh, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     if not isinstance(doc, dict):

@@ -140,8 +140,33 @@ class TestReaders:
             "building_id,x,y,archetype\nb0,0,0,1\nb1,100,50,7\nb2,200,-50,19\n"
         )
         inv = read_inventory_csv(path)
-        assert [b.id for b in inv] == ["b0", "b1", "b2"]
-        assert inv[2].archetype == 19
+        assert inv.ids == ["b0", "b1", "b2"]
+        assert inv.x.dtype == float and inv.x.tolist() == [0.0, 100.0, 200.0]
+        assert inv.y.dtype == float and inv.y.tolist() == [0.0, 50.0, -50.0]
+        assert inv.archetype.dtype == int and inv.archetype.tolist() == [1, 7, 19]
+
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan", "1e999"])
+    def test_inventory_non_finite_x(self, tmp_path, x):
+        path = tmp_path / "inv.csv"
+        path.write_text(f"building_id,x,y,archetype\nb0,{x},0,1\n")
+        with pytest.raises(InvalidInputError, match=":2: building b0: coordinates must be finite"):
+            read_inventory_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["b0,nan,0,1", "b1,0,0,23"], ":2: building b0: coordinates must be finite"),
+            (["b0,0,0,23", "b1,nan,0,1"], ":2: building b0: archetype 23 outside"),
+            (["b0,0,0,1", "b0,nan,0,23"], ":3: second row for building 'b0'"),
+        ],
+        ids=["coordinates_first", "archetype_first", "repeat_first"],
+    )
+    def test_inventory_names_first_bad_row(self, tmp_path, rows, message):
+        """Two rows bad in different ways: the reader names the first."""
+        path = tmp_path / "inv.csv"
+        path.write_text("building_id,x,y,archetype\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InvalidInputError, match=message):
+            read_inventory_csv(path)
 
     def test_inventory_missing_column(self, tmp_path):
         path = tmp_path / "inv.csv"
@@ -151,9 +176,11 @@ class TestReaders:
 
     def test_inventory_bad_archetype_line(self, tmp_path):
         path = tmp_path / "inv.csv"
-        path.write_text("building_id,x,y,archetype\nb0,0,0,1\nb1,0,0,77\n")
-        with pytest.raises(InvalidInputError, match=r":3:"):
-            read_inventory_csv(path)
+        for archetype in (0, 23, 77):
+            path.write_text(f"building_id,x,y,archetype\nb0,0,0,1\nb1,0,0,{archetype}\n")
+            message = rf":3: building b1: archetype {archetype} outside 1\.\.19"
+            with pytest.raises(InvalidInputError, match=message):
+                read_inventory_csv(path)
 
     def test_observations(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -220,6 +247,12 @@ class TestConfigLoading:
         path = tmp_path / "c.json"
         path.write_text('{"schema_version": 1, "seed": -1' + "0" * 5000 + "}")
         with pytest.raises(ConfigError, match="beyond float range"):
+            load_config(path)
+
+    def test_nesting_beyond_the_parser_is_config_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"schema_version": 1, "a": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        with pytest.raises(ConfigError, match="invalid JSON: nested too deeply"):
             load_config(path)
 
     def test_invalid_json(self, tmp_path):
@@ -1342,6 +1375,27 @@ class TestCmdExperiment:
         assert main(argv) == 2
         assert not out.exists()
 
+    def test_dry_run_rejects_what_the_run_rejects(self, tmp_path, capsys):
+        """The dry run runs the run's set-up, so a calibration without an F1
+        exits 2 in both, with the same message, and writes nothing."""
+        cfg = tmp_path / "exp.json"
+        doc = {
+            "schema_version": 1,
+            "n_buildings": 20,
+            "modes": ["local-only"],
+            "true_track": {"centerline": [[-500.0, 0.0], [10500.0, 0.0]], "width_total": 0.0},
+            "observer": {"class_error": 0.0, "concentration": None},
+        }
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        errors = []
+        for dry in (["--dry-run"], []):
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)] + dry) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: observer calibration: soft F1 undefined")
+        assert not out.exists()
+
     def test_calibration_without_f1_names_states_and_source(self, tmp_path, capsys):
         # a zero-width track damages nothing and a faithful observer predicts
         # no mass, so no state has a soft F1
@@ -1414,4 +1468,39 @@ def test_integer_beyond_float_range_exit_2(tmp_path, capsys, command, path):
         assert main([command, "--config", str(cfg), "--out", str(out)] + dry) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and "beyond float range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["prior", "update", "experiment"])
+def test_deeply_nested_config_exit_2(tmp_path, capsys, command):
+    """A config nested deeper than the JSON parser goes exits 2 naming the
+    file, with no traceback."""
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"schema_version": 1, "a": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    out = tmp_path / "out"
+    for dry in (["--dry-run"], []):
+        assert main([command, "--config", str(cfg), "--out", str(out)] + dry) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: invalid JSON: nested too deeply\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, module, step",
+    [("prior", "fragfield.cli", "build_prior_field"),
+     ("experiment", "fragfield.experiment", "generate_inventory")],
+)
+def test_allocation_failure_exit_2(tmp_path, capsys, monkeypatch, command, module, step):
+    """A set-up step that cannot allocate exits 2, dry and real, with no
+    traceback (the failure is simulated: nothing large is allocated)."""
+    message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"{module}.{step}", no_memory)
+    cfg = _prior_config(tmp_path) if command == "prior" else _experiment_config(tmp_path)
+    out = tmp_path / "out"
+    for dry in (["--dry-run"], []):
+        assert main([command, "--config", str(cfg), "--out", str(out)] + dry) == 2
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
     assert not out.exists()

@@ -20,6 +20,7 @@ from fragfield.experiment import (
     generate_inventory,
     generate_truth,
     hard_exceedance,
+    prepare,
     simulate_observer,
 )
 
@@ -233,13 +234,17 @@ class TestCalibration:
         inv = generate_inventory(cfg, streams["inventory"])
         truth = generate_truth(inv, cfg.true_track, streams["truth"])
         rng = streams["calibration"]
-        idx = rng.choice(len(inv), size=cfg.observer.calibration_size, replace=False)
+        idx = rng.choice(len(inv.ids), size=cfg.observer.calibration_size, replace=False)
         soft = simulate_observer(truth[idx], cfg.observer, rng)
         o, g = hard_exceedance(truth[idx]), exceedance_from_categorical(soft[:, 1:])
         w, f1 = calibrate_weights(o, g, cfg.observer.w_max)
         expected_w, expected_f1 = _scalar_calibration(o, g, cfg.observer.w_max)
         assert f1.tolist() == expected_f1
         assert w.tolist() == expected_w
+        # and these draws are the run's: its set-up reports the same calibration
+        scenario = prepare(cfg)
+        assert scenario.f1.tolist() == expected_f1
+        assert scenario.weights.tolist() == expected_w
 
     def test_empty(self):
         with pytest.raises(InvalidInputError):

@@ -23,13 +23,14 @@ from fragfield.experiment import (
     hard_exceedance,
     log_loss,
     make_batches,
+    prepare,
     run_online_experiment,
     simulate_observer,
     soft_exceedance,
 )
+from fragfield.field_state import Inventory
 from fragfield.gp_field import EXACT_SOLVE_CAP
 from fragfield.hazard import (
-    Building,
     FragilityTable,
     TornadoTrack,
     distances_to_centerline,
@@ -41,7 +42,9 @@ STRAIGHT_TRACK = TornadoTrack(centerline=((0.0, 0.0), (10_000.0, 0.0)), width_to
 
 
 def _repeat_building(n, x, y, archetype=1):
-    return [Building(id=f"c{k}", x=x, y=y, archetype=archetype) for k in range(n)]
+    """An inventory of n buildings at one site."""
+    ids = [f"c{k}" for k in range(n)]
+    return Inventory(ids, np.full(n, x), np.full(n, y), np.full(n, archetype))
 
 
 class TestGenerateTruth:
@@ -93,12 +96,11 @@ class TestGenerateTruth:
         cfg = default_config()
         inv = generate_inventory(cfg, experiment._streams(cfg.seed)["inventory"])
         table = FragilityTable.default()
-        xy = np.array([[b.x, b.y] for b in inv])
-        v = wind_speeds(distances_to_centerline(xy[:, 0], xy[:, 1], cfg.true_track), cfg.true_track)
+        v = wind_speeds(distances_to_centerline(inv.x, inv.y, cfg.true_track), cfg.true_track)
         rng = experiment._streams(cfg.seed)["truth"]
-        expected = np.zeros(len(inv), dtype=int)
-        for k, b in enumerate(inv):
-            med, disp = table.medians[b.archetype], table.dispersions[b.archetype]
+        expected = np.zeros(len(inv.ids), dtype=int)
+        for k, arch in enumerate(inv.archetype.tolist()):
+            med, disp = table.medians[arch], table.dispersions[arch]
             for j in range(len(med)):
                 cap = math.exp(math.log(med[j]) + disp[j] * rng.standard_normal())
                 if v[k] >= cap:
@@ -113,25 +115,18 @@ class TestObserver:
     def test_perfect_observer_one_hot_and_max_weight(self):
         observer = ObserverModel(class_error=0.0, concentration=None)
         truth = np.array([0, 1, 2, 3, 3, 2, 1, 0] * 40)
-        inv = _repeat_building(len(truth), 0.0, 0.0)
         rng = np.random.default_rng(21)
         soft = simulate_observer(truth, observer, rng)
         assert np.array_equal(soft, np.eye(4)[truth])
         with pytest.warns(RuntimeWarning, match="infinite weight"):
-            w, f1 = calibrate_observer(inv, truth, observer, np.random.default_rng(22))
+            w, f1 = calibrate_observer(truth, observer, np.random.default_rng(22))
         assert np.allclose(f1, 1.0)
         assert np.allclose(w, DEFAULT_W_MAX)
 
     def test_default_fidelity_band(self):
         # default observer targets F1 ~ 0.9; measured calibration F1 must land
         # inside [0.85, 0.95] for every damage state
-        cfg = default_config()
-        from fragfield.experiment import _streams
-
-        streams = _streams(cfg.seed)
-        inv = generate_inventory(cfg, streams["inventory"])
-        truth = generate_truth(inv, cfg.true_track, streams["truth"])
-        _, f1 = calibrate_observer(inv, truth, cfg.observer, streams["calibration"])
+        f1 = prepare(default_config()).f1
         assert np.all(f1 >= 0.85) and np.all(f1 <= 0.95)
 
     def test_uniform_observer_matches_prevalence_baseline(self):
@@ -460,6 +455,24 @@ class TestRunOnlineExperiment:
             alone = run_online_experiment(replace(cfg, modes=(mode,)))
             assert alone.metrics == [m for m in res.metrics if m.mode == mode]
             assert alone.trajectory == [t for t in res.trajectory if t.mode == mode]
+
+    def test_record_is_prepare(self, small_run):
+        """The run's set-up is ``prepare``'s, array for array, so the dry run,
+        which runs ``prepare``, checks what the run uses; and the loop leaves
+        the record's priors as they were drawn."""
+        cfg, res = small_run
+        got, want = res.scenario, prepare(cfg)
+        for name in ("y_obs", "y_true", "weights", "f1", "observed_mask", "holdout_rows"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.batches == want.batches
+        assert got.gp_seed == want.gp_seed
+        assert got.priors.keys() == want.priors.keys()
+        for width, fs in want.priors.items():
+            assert got.priors[width].ids == fs.ids
+            for name in ("x", "y", "archetype", "mu", "sigma2"):
+                a, b = getattr(got.priors[width], name), getattr(fs, name)
+                assert a.tobytes() == b.tobytes(), (width, name)
 
     def test_deterministic_rerun(self, small_run):
         cfg, res = small_run

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragfield.errors import InvalidInputError
+from fragfield.field_state import Inventory
 from fragfield.hazard import (
-    Building,
     FragilityTable,
     TornadoTrack,
     build_prior_field,
@@ -20,6 +20,13 @@ from fragfield.probit_normal import clip_ordinal_probit, pn_moments_vec
 
 def track(width=800.0, centerline=((-10_000.0, 0.0), (10_000.0, 0.0))):
     return TornadoTrack(centerline=centerline, width_total=width)
+
+
+def inventory(x, y, archetype):
+    """An inventory of the columns x, y and archetype, scalars broadcast."""
+    x, y, archetype = (np.array(c) for c in np.broadcast_arrays(x, y, archetype))
+    ids = [f"b{i}" for i in range(len(x))]
+    return Inventory(ids, x.astype(float), y.astype(float), archetype.astype(int))
 
 
 class TestDistance:
@@ -117,26 +124,19 @@ class TestFragilityTable:
 
 
 class TestBuildPriorField:
-    def _inventory(self, archetypes, x=None):
-        return [
-            Building(id=f"b{i}", x=0.0 if x is None else x[i], y=0.0, archetype=a)
-            for i, a in enumerate(archetypes)
-        ]
-
     def test_core_building_clips_high(self):
         # archetype 1 at the axis: mu = (ln 115 - ln 35.2)/0.14 ~ 8.46 -> clip
-        fs = build_prior_field(self._inventory([1]), track(800.0))
+        fs = build_prior_field(inventory(0.0, 0.0, [1]), track(800.0))
         raw = (math.log(115) - math.log(35.2)) / 0.14
         assert raw == pytest.approx(8.46, abs=0.01)
         assert fs.mu[0, 0] == 3.0
 
     def test_far_field_clips_low_with_separation(self):
-        b = [Building(id="far", x=0.0, y=200_000.0, archetype=1)]
-        fs = build_prior_field(b, track(800.0))
+        fs = build_prior_field(inventory(0.0, 200_000.0, [1]), track(800.0))
         assert fs.mu[0] == pytest.approx([-2.90, -2.95, -3.00])
 
     def test_zero_width_uniform_prior(self):
-        fs = build_prior_field(self._inventory([1, 5, 12]), track(0.0))
+        fs = build_prior_field(inventory(0.0, 0.0, [1, 5, 12]), track(0.0))
         assert np.allclose(fs.mu, fs.mu[0][None, :])
         assert np.all(fs.mu <= -2.9)
 
@@ -145,28 +145,22 @@ class TestBuildPriorField:
             medians={1: (35.2, 37.7, 49.4)}, dispersions={1: (0.14, 0.13, 0.12)}
         )
         with pytest.raises(InvalidInputError, match=r"\[5\]"):
-            build_prior_field(self._inventory([1, 5]), track(800.0), table)
+            build_prior_field(inventory(0.0, 0.0, [1, 5]), track(800.0), table)
 
     def test_sigma2_from_epistemics(self):
-        fs = build_prior_field(self._inventory([1]), track(800.0))
+        fs = build_prior_field(inventory(0.0, 0.0, [1]), track(800.0))
         expected = (0.09**2 + 0.40**2) / 0.14**2
         assert fs.sigma2[0, 0] == pytest.approx(expected)
 
     def test_latent_ordinality_all_archetypes_everywhere(self):
         for where in (0.0, 500.0, 5000.0, 200_000.0):
-            inv = [
-                Building(id=f"a{a}", x=0.0, y=where, archetype=a) for a in range(1, 20)
-            ]
-            fs = build_prior_field(inv, track(3200.0))
+            fs = build_prior_field(inventory(0.0, where, np.arange(1, 20)), track(3200.0))
             assert np.all(np.diff(fs.mu, axis=1) <= 1e-12)
 
     def test_exceedance_ordinality_away_from_clip_bands(self):
         # m = Phi(mu/sqrt(1+sigma2)) is ordinal wherever no state was clipped
         for arch in range(1, 20):
-            inv = [
-                Building(id=f"r{i}", x=0.0, y=float(r), archetype=arch)
-                for i, r in enumerate(np.linspace(0, 4000, 161))
-            ]
+            inv = inventory(0.0, np.linspace(0, 4000, 161), arch)
             fs = build_prior_field(inv, track(1600.0))
             m, _ = pn_moments_vec(fs.mu, fs.sigma2)
             interior = np.all(np.abs(fs.mu) < 3.0 - 1e-9, axis=1)
@@ -175,28 +169,27 @@ class TestBuildPriorField:
     def test_exceedance_ordinality_equal_dispersion_archetype(self):
         # archetype 7 has a single dispersion across states, so latent
         # ordinality carries over to the exceedance means even at the bands
-        inv = [
-            Building(id=f"r{i}", x=0.0, y=float(r), archetype=7)
-            for i, r in enumerate(np.linspace(0, 300_000, 301))
-        ]
-        fs = build_prior_field(inv, track(1600.0))
+        fs = build_prior_field(inventory(0.0, np.linspace(0, 300_000, 301), 7), track(1600.0))
         m, _ = pn_moments_vec(fs.mu, fs.sigma2)
         assert np.all(np.diff(m, axis=1) <= 1e-12)
 
     def test_mu_within_bounds(self):
-        inv = [
-            Building(id=f"g{i}", x=float(xx), y=float(yy), archetype=(i % 19) + 1)
-            for i, (xx, yy) in enumerate(
-                (x, y) for x in np.linspace(-2000, 2000, 9) for y in np.linspace(0, 3000, 9)
-            )
-        ]
+        gx, gy = np.meshgrid(np.linspace(-2000, 2000, 9), np.linspace(0, 3000, 9), indexing="ij")
+        inv = inventory(gx.ravel(), gy.ravel(), np.arange(81) % 19 + 1)
         fs = build_prior_field(inv, track(800.0))
         assert np.all(fs.mu <= 3.0 + 1e-12)
         assert np.all(fs.mu >= -3.0 - 1e-12)
 
-    def test_building_validation(self):
-        with pytest.raises(InvalidInputError):
-            Building(id="x", x=0.0, y=0.0, archetype=23)
+    def test_field_carries_the_inventory_columns(self):
+        inv = inventory([5.0, -7.5], [1.0, 2.0], [3, 19])
+        fs = build_prior_field(inv, track(800.0))
+        assert fs.ids == inv.ids
+        for name in ("x", "y", "archetype"):
+            assert np.array_equal(getattr(fs, name), getattr(inv, name))
+
+    def test_empty_inventory(self):
+        with pytest.raises(InvalidInputError, match="empty inventory"):
+            build_prior_field(inventory([], [], []), track(800.0))
 
 
 # ---------------------------------------------------------------- per-cell reference
@@ -233,22 +226,21 @@ def _ref_clip_ordinal_probit(mus, bound, separation):
     return out
 
 
-def _ref_build_prior_field(inventory, track, eps_hazard, eps_capacity, bound, separation):
+def _ref_build_prior_field(inv, track, eps_hazard, eps_capacity, bound, separation):
     table = FragilityTable.default()
-    x = np.array([b.x for b in inventory])
-    y = np.array([b.y for b in inventory])
+    n = len(inv.ids)
     if track.width_total == 0.0:
-        v = np.full(len(inventory), 1.0)
+        v = np.full(n, 1.0)
     else:
-        v = np.maximum(wind_speeds(distances_to_centerline(x, y, track), track), 1.0)
-    mu = np.empty((len(inventory), 3))
-    sigma2 = np.empty((len(inventory), 3))
-    for i, b in enumerate(inventory):
+        v = np.maximum(wind_speeds(distances_to_centerline(inv.x, inv.y, track), track), 1.0)
+    mu = np.empty((n, 3))
+    sigma2 = np.empty((n, 3))
+    for i, arch in enumerate(inv.archetype.tolist()):
         lam_h = math.log(v[i])
         raw = []
         for j in range(3):
-            disp = table.dispersions[b.archetype][j]
-            raw.append((lam_h - math.log(table.medians[b.archetype][j])) / disp)
+            disp = table.dispersions[arch][j]
+            raw.append((lam_h - math.log(table.medians[arch][j])) / disp)
             sigma2[i, j] = (eps_hazard**2 + eps_capacity**2) / disp**2
         mu[i] = _ref_clip_ordinal_probit(raw, bound, separation)
     return mu, sigma2
@@ -269,19 +261,15 @@ class TestArrayPassMatchesPerCellReference:
         # every archetype on a line across the track, plus random sites
         # scattered over it and one far out
         rng = np.random.default_rng(11)
-        inv = [
-            Building(id=f"l{a}_{k}", x=0.0, y=float(yy), archetype=a)
-            for a in range(1, 20)
-            for k, yy in enumerate(np.linspace(-6000.0, 6000.0, 41))
-        ]
+        line = np.linspace(-6000.0, 6000.0, 41)
         xs = rng.uniform(-8000.0, 8000.0, 400)
         ys = rng.uniform(-5000.0, 5000.0, 400)
         arch = rng.integers(1, 20, 400)
-        inv += [
-            Building(id=f"r{k}", x=xs[k], y=ys[k], archetype=int(arch[k]))
-            for k in range(400)
-        ]
-        return inv + [Building(id="far", x=0.0, y=250_000.0, archetype=19)]
+        return inventory(
+            np.concatenate([np.zeros(19 * 41), xs, [0.0]]),
+            np.concatenate([np.tile(line, 19), ys, [250_000.0]]),
+            np.concatenate([np.repeat(np.arange(1, 20), 41), arch, [19]]),
+        )
 
     @pytest.mark.parametrize("width", [0.0, 300.0, 800.0, 1600.0, 3200.0, 9000.0])
     @pytest.mark.parametrize("setting", _SETTINGS)
