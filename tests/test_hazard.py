@@ -147,6 +147,11 @@ class TestBuildPriorField:
         with pytest.raises(InvalidInputError, match=r"\[5\]"):
             build_prior_field(inventory(0.0, 0.0, [1, 5]), track(800.0), table)
 
+    def test_building_validation(self):
+        # a building of an archetype outside 1..19 gets no prior
+        with pytest.raises(InvalidInputError, match=r"archetype\(s\) \[23\] absent"):
+            build_prior_field(inventory(0.0, 0.0, [1, 23]), track(800.0))
+
     def test_sigma2_from_epistemics(self):
         fs = build_prior_field(inventory(0.0, 0.0, [1]), track(800.0))
         expected = (0.09**2 + 0.40**2) / 0.14**2
